@@ -4,9 +4,10 @@ joined by adaptive downsampling, and a linear classification head.
 Each level stacks pre-normalized residual blocks of three sub-modules:
 channel attention (gating from pooled per-channel statistics), multi-head
 spatial attention over the patch grid, and a position-wise feed-forward pair
-of 1x1 convolutions.  Between levels, a 3x3 convolution + layer norm +
-adaptive max pooling halve the grid until a single patch remains, which the
-head maps to class logits.
+of projections.  Blocks take and return [B,C,H,W] but run channels-last
+inside, so every projection is one GEMM over the [B*H*W, C] rows.  Between
+levels, a 3x3 convolution + layer norm + adaptive max pooling halve the grid
+until a single patch remains, which the head maps to class logits.
 
 No positional encoding is used, so every block is equivariant under
 permutations of grid positions.
@@ -27,6 +28,7 @@ from .tensor import (
     adaptive_pool,
     conv2d,
     layer_norm,
+    linear,
     matmul,
     relu,
     reshape,
@@ -265,65 +267,96 @@ def patch_embed(x: Tensor, params: ModelParams) -> Tensor:
 
 
 def channel_attention(x: Tensor, blk: BlockParams) -> Tensor:
-    """Gate channels by sigmoid(MLP(avgpool) + MLP(maxpool)), weights shared."""
+    """Gate the channels of [B,H,W,C] by sigmoid(MLP(avgpool) + MLP(maxpool)).
+
+    The MLP weights are shared by both branches.  On a 1x1 grid both pools
+    are the identity, so ``x`` feeds both branches directly.
+    """
 
     def squeeze_mlp(pooled: Tensor) -> Tensor:
-        hidden = relu(conv2d(pooled, blk.ca_w1, blk.ca_b1))
-        return conv2d(hidden, blk.ca_w2, blk.ca_b2)
+        hidden = relu(linear(pooled, blk.ca_w1, blk.ca_b1))
+        return linear(hidden, blk.ca_w2, blk.ca_b2)
 
-    avg = adaptive_pool(x, 1, 1, "avg")
-    mx = adaptive_pool(x, 1, 1, "max")
-    weights = sigmoid(squeeze_mlp(avg) + squeeze_mlp(mx))  # [B,C,1,1]
+    b, h, w, c = x.shape
+    if h * w == 1:
+        avg = mx = x
+    else:
+        # [B,1,N,C] views pooled to [B,1,1,C]: one window per channel over all
+        # N positions.  Two views, so x collects both pool gradients in the
+        # order the 1x1 shortcut above gives it.
+        positions = (b, 1, h * w, c)
+        avg = adaptive_pool(reshape(x, positions), 1, c, "avg")
+        mx = adaptive_pool(reshape(x, positions), 1, c, "max")
+    weights = sigmoid(squeeze_mlp(avg) + squeeze_mlp(mx))  # [B,1,1,C]
     return x * weights
 
 
 def spatial_attention(x: Tensor, blk: BlockParams, heads: int,
                       return_weights: bool = False):
-    """Multi-head scaled dot-product attention over the N = H*W grid positions."""
-    b, c, h, w = x.shape
+    """Multi-head scaled dot-product attention over the N = H*W positions of [B,H,W,C].
+
+    On a 1x1 grid the softmax over one position is exactly 1, so the output
+    is the projected values ``o(v(x))`` and the weights are all ones.
+    """
+    b, h, w, c = x.shape
     if c % heads != 0:
         raise ConfigError(f"channels {c} not divisible by heads {heads}")
     d = c // heads
     n = h * w
+    if n == 1:
+        out = linear(linear(x, blk.v_w, blk.v_b), blk.o_w, blk.o_b)
+        if return_weights:
+            return out, Tensor(np.ones((b, heads, 1, 1), dtype=x.dtype))
+        return out
 
     def split_heads(t: Tensor) -> Tensor:
-        return transpose(reshape(t, (b, heads, d, n)), (0, 1, 3, 2))  # [B,h,N,D]
+        return transpose(reshape(t, (b, n, heads, d)), (0, 2, 1, 3))  # [B,h,N,D]
 
-    q = split_heads(conv2d(x, blk.q_w, blk.q_b))
-    k = split_heads(conv2d(x, blk.k_w, blk.k_b))
-    v = split_heads(conv2d(x, blk.v_w, blk.v_b))
+    q = split_heads(linear(x, blk.q_w, blk.q_b))
+    k = split_heads(linear(x, blk.k_w, blk.k_b))
+    v = split_heads(linear(x, blk.v_w, blk.v_b))
     scores = matmul(q, transpose(k, (0, 1, 3, 2))) * (1.0 / np.sqrt(d))
     weights = softmax(scores, axis=-1)  # [B,h,N,N]
     z = matmul(weights, v)  # [B,h,N,D]
-    z = reshape(transpose(z, (0, 1, 3, 2)), (b, c, h, w))
-    out = conv2d(z, blk.o_w, blk.o_b)
+    z = reshape(transpose(z, (0, 2, 1, 3)), (b, h, w, c))
+    out = linear(z, blk.o_w, blk.o_b)
     if return_weights:
         return out, weights
     return out
 
 
 def feed_forward(x: Tensor, blk: BlockParams) -> Tensor:
-    """Position-wise expand/contract pair of 1x1 convolutions."""
-    return conv2d(relu(conv2d(x, blk.ff_w1, blk.ff_b1)), blk.ff_w2, blk.ff_b2)
+    """Position-wise expand/contract pair of projections over [B,H,W,C]."""
+    return linear(relu(linear(x, blk.ff_w1, blk.ff_b1)), blk.ff_w2, blk.ff_b2)
 
 
 def msa_block(x: Tensor, blk: BlockParams, heads: int) -> Tensor:
-    """Pre-norm residual composition of the three sub-modules."""
-    x = x + channel_attention(layer_norm(x, blk.ln_ca, axis=1), blk)
-    x = x + spatial_attention(layer_norm(x, blk.ln_sa, axis=1), blk, heads)
-    return x + feed_forward(layer_norm(x, blk.ln_ff, axis=1), blk)
+    """Pre-norm residual composition of the three sub-modules.
+
+    Takes and returns [B,C,H,W]; the norms and sub-modules run channels-last.
+    """
+    x = transpose(x, (0, 2, 3, 1))
+    x = x + channel_attention(layer_norm(x, blk.ln_ca), blk)
+    x = x + spatial_attention(layer_norm(x, blk.ln_sa), blk, heads)
+    x = x + feed_forward(layer_norm(x, blk.ln_ff), blk)
+    return transpose(x, (0, 3, 1, 2))
 
 
 def downsample(x: Tensor, tr: TransitionParams, factor: int) -> Tensor:
-    """3x3 conv -> layer norm -> adaptive max pool shrinking the grid by `factor`."""
+    """3x3 conv -> layer norm -> adaptive max pool shrinking the grid by `factor`.
+
+    Takes and returns [B,C,H,W].  The norm reduces over the contiguous
+    channel axis of the conv's channels-last output, and the pool keeps that
+    memory layout, which the next block's channels-last view then reads.
+    """
     _, _, h, w = x.shape
     if h % factor != 0 or w % factor != 0:
         raise ConfigError(
             f"grid {h}x{w} not divisible by downsample factor {factor}"
         )
     y = conv2d(x, tr.conv_w, tr.conv_b, stride=1, padding=1)
-    y = layer_norm(y, tr.ln, axis=1)
-    return adaptive_pool(y, h // factor, w // factor, "max")
+    y = layer_norm(transpose(y, (0, 2, 3, 1)), tr.ln)
+    return adaptive_pool(transpose(y, (0, 3, 1, 2)), h // factor, w // factor, "max")
 
 
 def _as_input_tensor(maps, config: ModelConfig, dtype) -> Tensor:
@@ -335,7 +368,8 @@ def _as_input_tensor(maps, config: ModelConfig, dtype) -> Tensor:
         raise ValidationError(
             f"expected a [B, {config.h_flow}, {config.w_flow}, 3] batch, got {arr.shape}"
         )
-    return Tensor(np.ascontiguousarray(arr.transpose(0, 3, 1, 2)), dtype=dtype)
+    # a [B,3,H,W] view: patch_embed's im2col reads the channels-last memory
+    return Tensor(arr.transpose(0, 3, 1, 2), dtype=dtype)
 
 
 def forward(maps, params: ModelParams, trace: list | None = None) -> Tensor:
@@ -401,12 +435,18 @@ def load_checkpoint(path) -> ModelParams:
     from pathlib import Path
 
     data = Path(path).read_bytes()
+    if len(data) < 9:
+        raise ValidationError(
+            f"{path}: {len(data)} bytes, shorter than the 9-byte checkpoint header")
     if data[:4] != CHECKPOINT_MAGIC:
         raise ValidationError(f"{path}: bad checkpoint magic {data[:4]!r}")
     version = data[4]
     if version != CHECKPOINT_VERSION:
         raise ValidationError(f"{path}: unsupported checkpoint version {version}")
     (cfg_len,) = struct.unpack_from("<I", data, 5)
+    if 9 + cfg_len > len(data):
+        raise ValidationError(
+            f"{path}: config block of {cfg_len} bytes runs past the end of the file")
     cfg_raw = data[9:9 + cfg_len]
     try:
         cfg_dict = json.loads(cfg_raw.decode("utf-8"))

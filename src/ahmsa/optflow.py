@@ -438,12 +438,20 @@ def read_pgm(path) -> np.ndarray:
 
     if tokens[0] != b"P5":
         raise ValidationError(f"{path}: not a binary PGM (magic {tokens[0]!r})")
-    width, height, maxval = (int(t) for t in tokens[1:])
+    try:
+        width, height, maxval = (int(t) for t in tokens[1:])
+    except ValueError:
+        raise ValidationError(
+            f"{path}: non-integer PGM header field in {tokens[1:]}") from None
+    if width < 1 or height < 1:
+        raise ValidationError(f"{path}: non-positive PGM dims {width}x{height}")
     if maxval != 255:
         raise ValidationError(f"{path}: only 8-bit PGM supported, maxval={maxval}")
+    if len(data) - i < width * height:
+        raise ValidationError(
+            f"{path}: truncated pixel data ({max(len(data) - i, 0)} of "
+            f"{width * height} bytes)")
     pixels = np.frombuffer(data, dtype=np.uint8, count=width * height, offset=i)
-    if pixels.size != width * height:
-        raise ValidationError(f"{path}: truncated pixel data")
     return pixels.reshape(height, width).astype(np.float64) / 255.0
 
 
@@ -489,4 +497,6 @@ def read_flow_map(path) -> np.ndarray:
             f"{path}: payload is {len(data) - 16} bytes, expected {expected - 16}"
         )
     flat = np.frombuffer(data, dtype="<f4", count=h * w * 3, offset=16)
+    if not np.isfinite(flat).all():
+        raise ValidationError(f"{path}: non-finite values (NaN or Inf) in the payload")
     return flat.reshape(h, w, 3).astype(np.float32)

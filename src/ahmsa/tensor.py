@@ -320,29 +320,45 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(data, (a, b), backward)
 
 
-# -- convolution -------------------------------------------------------------
+# -- linear and convolution ----------------------------------------------------
 
 
-def _im2col(x: np.ndarray, kh: int, kw: int, stride: int,
-            out_h: int, out_w: int) -> np.ndarray:
-    b, c = x.shape[:2]
-    cols = np.empty((b, c, kh, kw, out_h, out_w), dtype=x.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, :, i, j] = x[:, :, i:i + stride * out_h:stride,
-                                 j:j + stride * out_w:stride]
-    return cols
+def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
+    """Pointwise projection of the last axis: [..., Cin] -> [..., Cout].
 
+    ``weight`` is a [Cout,Cin,1,1] 1x1-conv kernel, so channels-last
+    activations of any leading shape become one [rows,Cin] @ [Cin,Cout] GEMM.
+    """
+    c_out = weight.shape[0]
+    c_in = x.shape[-1]
+    if weight.ndim != 4 or weight.shape[1:] != (c_in, 1, 1):
+        raise DimensionError(
+            f"linear weight must be [Cout, {c_in}, 1, 1] for input {x.shape}, "
+            f"got {weight.shape}"
+        )
+    if bias is not None and bias.shape != (c_out,):
+        raise DimensionError(
+            f"linear bias shape {bias.shape} does not match {c_out} output channels"
+        )
+    rows = x.data.reshape(-1, c_in)
+    k2d = weight.data.reshape(c_out, c_in)
+    out = rows @ k2d.T
+    if bias is not None:
+        out += bias.data
+    parents = (x, weight) if bias is None else (x, weight, bias)
 
-def _col2im(dcols: np.ndarray, padded_shape: tuple[int, ...],
-            stride: int) -> np.ndarray:
-    b, c, kh, kw, out_h, out_w = dcols.shape
-    dx = np.zeros(padded_shape, dtype=dcols.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            dx[:, :, i:i + stride * out_h:stride,
-               j:j + stride * out_w:stride] += dcols[:, :, i, j]
-    return dx
+    def backward(g):
+        gx = gk = gb = None
+        g2 = g.reshape(-1, c_out)
+        if weight.requires_grad:
+            gk = (g2.T @ rows).reshape(weight.shape)
+        if bias is not None and bias.requires_grad:
+            gb = g2.sum(axis=0)
+        if x.requires_grad:
+            gx = (g2 @ k2d).reshape(x.shape)
+        return (gx, gk) if bias is None else (gx, gk, gb)
+
+    return _make(out.reshape(x.shape[:-1] + (c_out,)), parents, backward)
 
 
 def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
@@ -351,7 +367,10 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
 
     Output spatial size must come out exact: (H + 2*padding - kh) must be a
     non-negative multiple of stride (likewise W), otherwise a DimensionError
-    names the offending axis.
+    names the offending axis.  im2col gathers one channels-last row per
+    output position, [B*oh*ow, kh*kw*Cin], so forward and both gradients are
+    single 2-D GEMMs; the result is a [B,Cout,oh,ow] view of channels-last
+    memory.
     """
     if x.ndim != 4:
         raise DimensionError(f"conv2d input must be 4-D, got shape {x.shape}")
@@ -380,58 +399,38 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
     out_h = (h + 2 * padding - kh) // stride + 1
     out_w = (w + 2 * padding - kw) // stride + 1
 
-    parents = (x, kernel) if bias is None else (x, kernel, bias)
-
-    if kh == 1 and kw == 1 and stride == 1 and padding == 0:
-        # pointwise conv: fold batch and space into the rows of a single GEMM
-        k2d = kernel.data.reshape(c_out, c_in)
-        rows = b * h * w
-        xt = np.ascontiguousarray(x.data.transpose(0, 2, 3, 1)).reshape(rows, c_in)
-        out2 = xt @ k2d.T
-        if bias is not None:
-            out2 = out2 + bias.data[None, :]
-        data = np.ascontiguousarray(
-            out2.reshape(b, h, w, c_out).transpose(0, 3, 1, 2))
-
-        def backward_1x1(g):
-            gx = gk = gb = None
-            gt = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(rows, c_out)
-            if kernel.requires_grad:
-                gk = (gt.T @ xt).reshape(kernel.shape)
-            if bias is not None and bias.requires_grad:
-                gb = gt.sum(axis=0)
-            if x.requires_grad:
-                gx = np.ascontiguousarray(
-                    (gt @ k2d).reshape(b, h, w, c_in).transpose(0, 3, 1, 2))
-            return (gx, gk) if bias is None else (gx, gk, gb)
-
-        return _make(data, parents, backward_1x1)
-
+    xt = x.data.transpose(0, 2, 3, 1)  # channels-last view
     if padding:
-        xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    else:
-        xp = x.data
-    cols = _im2col(xp, kh, kw, stride, out_h, out_w)
-    data = np.tensordot(kernel.data, cols,
-                        axes=([1, 2, 3], [1, 2, 3])).transpose(1, 0, 2, 3)
+        xt = np.pad(xt, ((0, 0), (padding, padding), (padding, padding), (0, 0)))
+    # [B,oh,ow,Cin,kh,kw] window view -> rows [B*oh*ow, kh*kw*Cin] (one copy)
+    windows = np.lib.stride_tricks.sliding_window_view(xt, (kh, kw), axis=(1, 2))
+    windows = windows[:, ::stride, ::stride]
+    cols = windows.transpose(0, 1, 2, 4, 5, 3).reshape(-1, kh * kw * c_in)
+    k2d = kernel.data.transpose(0, 2, 3, 1).reshape(c_out, -1)
+    out = cols @ k2d.T
     if bias is not None:
-        data = data + bias.data[None, :, None, None]
+        out += bias.data
+    data = out.reshape(b, out_h, out_w, c_out).transpose(0, 3, 1, 2)
+    parents = (x, kernel) if bias is None else (x, kernel, bias)
 
     def backward(g):
         gx = gk = gb = None
+        g2 = g.transpose(0, 2, 3, 1).reshape(-1, c_out)
         if kernel.requires_grad:
-            gk = np.tensordot(g, cols, axes=([0, 2, 3], [0, 4, 5]))
+            gk = (g2.T @ cols).reshape(c_out, kh, kw, c_in).transpose(0, 3, 1, 2)
         if bias is not None and bias.requires_grad:
-            gb = g.sum(axis=(0, 2, 3))
+            gb = g2.sum(axis=0)
         if x.requires_grad:
-            dcols = np.tensordot(g, kernel.data,
-                                 axes=([1], [0])).transpose(0, 3, 4, 5, 1, 2)
-            gx = _col2im(np.ascontiguousarray(dcols), xp.shape, stride)
-            if padding:
-                gx = gx[:, :, padding:padding + h, padding:padding + w]
+            dcols = (g2 @ k2d).reshape(b, out_h, out_w, kh, kw, c_in)
+            gxt = np.zeros(xt.shape, dtype=dcols.dtype)
+            for i in range(kh):
+                for j in range(kw):
+                    gxt[:, i:i + stride * out_h:stride,
+                        j:j + stride * out_w:stride] += dcols[:, :, :, i, j]
+            gx = gxt[:, padding:padding + h, padding:padding + w].transpose(0, 3, 1, 2)
         return (gx, gk) if bias is None else (gx, gk, gb)
 
-    return _make(np.ascontiguousarray(data), parents, backward)
+    return _make(data, parents, backward)
 
 
 # -- layer normalization -------------------------------------------------------
@@ -503,22 +502,35 @@ def _pool_bounds(in_dim: int, out_dim: int) -> list[tuple[int, int]]:
     ]
 
 
-def adaptive_pool(x: Tensor, out_h: int, out_w: int, mode: str = "max") -> Tensor:
-    """Pool [B,C,H,W] to [B,C,out_h,out_w] over derived windows.
+def _pool_reshape(x: np.ndarray, out_h: int, out_w: int, mode: str):
+    """Pool [B,C,H,W] over evenly dividing windows by a reshape.
 
-    Window i covers rows [floor(i*H/out_h), ceil((i+1)*H/out_h)).  Max mode
-    backpropagates to the first (row-major) argmax of each window; avg mode
-    spreads the gradient uniformly.
+    Returns the pooled array and its backward (output grad -> input grad).
     """
-    if mode not in ("max", "avg"):
-        raise ValidationError(f"pool mode must be 'max' or 'avg', got {mode!r}")
-    if x.ndim != 4:
-        raise DimensionError(f"adaptive_pool input must be 4-D, got {x.shape}")
     b, c, h, w = x.shape
-    if not (1 <= out_h <= h) or not (1 <= out_w <= w):
-        raise DimensionError(
-            f"output dims ({out_h}, {out_w}) must be within input dims ({h}, {w})"
-        )
+    kh, kw = h // out_h, w // out_w
+    windows = x.reshape(b, c, out_h, kh, out_w, kw)
+    if mode == "avg":
+        def backward(g):
+            spread = np.broadcast_to((g / (kh * kw))[:, :, :, None, :, None],
+                                     windows.shape)
+            return spread.reshape(b, c, h, w)
+
+        return windows.mean(axis=(3, 5)), backward
+
+    def backward(g):
+        flat = windows.transpose(0, 1, 2, 4, 3, 5).reshape(b, c, out_h, out_w, kh * kw)
+        gflat = np.zeros_like(flat)
+        np.put_along_axis(gflat, flat.argmax(axis=-1)[..., None], g[..., None], axis=-1)
+        return gflat.reshape(b, c, out_h, out_w, kh, kw).transpose(
+            0, 1, 2, 4, 3, 5).reshape(b, c, h, w)
+
+    return windows.max(axis=(3, 5)), backward
+
+
+def _pool_loop(x: np.ndarray, out_h: int, out_w: int, mode: str):
+    """Pool [B,C,H,W] by a loop over (possibly overlapping) derived windows."""
+    b, c, h, w = x.shape
     rows = _pool_bounds(h, out_h)
     cols = _pool_bounds(w, out_w)
     data = np.empty((b, c, out_h, out_w), dtype=x.dtype)
@@ -528,7 +540,7 @@ def adaptive_pool(x: Tensor, out_h: int, out_w: int, mode: str = "max") -> Tenso
         arg_c = np.empty((b, c, out_h, out_w), dtype=np.intp)
         for i, (r0, r1) in enumerate(rows):
             for j, (c0, c1) in enumerate(cols):
-                window = x.data[:, :, r0:r1, c0:c1]
+                window = x[:, :, r0:r1, c0:c1]
                 flat = window.reshape(b, c, -1)
                 idx = flat.argmax(axis=2)
                 data[:, :, i, j] = np.take_along_axis(
@@ -538,27 +550,49 @@ def adaptive_pool(x: Tensor, out_h: int, out_w: int, mode: str = "max") -> Tenso
                 arg_c[:, :, i, j] = c0 + idx % (c1 - c0)
 
         def backward(g):
-            gx = np.zeros_like(x.data)
+            gx = np.zeros_like(x)
             bb, cc = np.meshgrid(np.arange(b), np.arange(c), indexing="ij")
             bb = bb[:, :, None, None]
             cc = cc[:, :, None, None]
             np.add.at(gx, (bb, cc, arg_r, arg_c), g)
-            return (gx,)
+            return gx
 
     else:
         for i, (r0, r1) in enumerate(rows):
             for j, (c0, c1) in enumerate(cols):
-                data[:, :, i, j] = x.data[:, :, r0:r1, c0:c1].mean(axis=(2, 3))
+                data[:, :, i, j] = x[:, :, r0:r1, c0:c1].mean(axis=(2, 3))
 
         def backward(g):
-            gx = np.zeros_like(x.data)
+            gx = np.zeros_like(x)
             for i, (r0, r1) in enumerate(rows):
                 for j, (c0, c1) in enumerate(cols):
                     area = (r1 - r0) * (c1 - c0)
                     gx[:, :, r0:r1, c0:c1] += g[:, :, i:i + 1, j:j + 1] / area
-            return (gx,)
+            return gx
 
-    return _make(data, (x,), backward)
+    return data, backward
+
+
+def adaptive_pool(x: Tensor, out_h: int, out_w: int, mode: str = "max") -> Tensor:
+    """Pool [B,C,H,W] to [B,C,out_h,out_w] over derived windows.
+
+    Window i covers rows [floor(i*H/out_h), ceil((i+1)*H/out_h)).  Max mode
+    backpropagates to the first (row-major) argmax of each window; avg mode
+    spreads the gradient uniformly.  Evenly dividing windows are pooled by a
+    reshape, others by a loop over the windows.
+    """
+    if mode not in ("max", "avg"):
+        raise ValidationError(f"pool mode must be 'max' or 'avg', got {mode!r}")
+    if x.ndim != 4:
+        raise DimensionError(f"adaptive_pool input must be 4-D, got {x.shape}")
+    h, w = x.shape[2:]
+    if not (1 <= out_h <= h) or not (1 <= out_w <= w):
+        raise DimensionError(
+            f"output dims ({out_h}, {out_w}) must be within input dims ({h}, {w})"
+        )
+    pool = _pool_reshape if h % out_h == 0 and w % out_w == 0 else _pool_loop
+    data, backward = pool(x.data, out_h, out_w, mode)
+    return _make(data, (x,), lambda g: (backward(g),))
 
 
 # -- loss ----------------------------------------------------------------------

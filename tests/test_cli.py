@@ -1,5 +1,6 @@
 import hashlib
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -127,6 +128,23 @@ def test_extract_flow_missing_apex_names_sample(dataset, tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert "s02_02" in err and "apex" in err
+
+
+def test_extract_flow_truncated_pgm_fails_one_sample(dataset, tmp_path, capsys):
+    shutil.copytree(dataset / "images", tmp_path / "images")
+    shutil.copy(dataset / "manifest.csv", tmp_path / "manifest.csv")
+    apex = tmp_path / "images" / "s02_02_apex.pgm"
+    apex.write_bytes(apex.read_bytes()[:-100])
+    flow_dir = tmp_path / "flow"
+    code = run_cli("extract-flow", "--manifest", str(tmp_path / "manifest.csv"),
+                   "--out-dir", str(flow_dir), "--config", str(write_config(tmp_path)))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    failed = [line for line in err.splitlines() if "FAILED" in line]
+    assert len(failed) == 1
+    assert "s02_02" in failed[0] and "truncated pixel data" in failed[0]
+    assert len(list(flow_dir.glob("*.flow"))) == 5
 
 
 # -- loso --------------------------------------------------------------------------

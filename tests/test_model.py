@@ -16,7 +16,22 @@ from ahmsa.model import (
     spatial_attention,
     tiny_config,
 )
-from ahmsa.tensor import Tensor
+from ahmsa.tensor import (
+    Tensor,
+    adaptive_pool,
+    conv2d,
+    cross_entropy,
+    layer_norm,
+    linear,
+    matmul,
+    relu,
+    reshape,
+    sigmoid,
+    softmax,
+    transpose,
+    tsum,
+    zero_grads,
+)
 
 from gradcheck import relative_error
 
@@ -150,7 +165,7 @@ def test_patch_embed_rejects_wrong_dims():
 def test_channel_attention_zero_input():
     params = init_model(small_config(), seed=4)
     blk = params.levels[0][0]
-    x = Tensor(np.zeros((2, 12, 4, 4), dtype=np.float32))
+    x = Tensor(np.zeros((2, 4, 4, 12), dtype=np.float32))
     out = channel_attention(x, blk)
     np.testing.assert_array_equal(out.data, 0.0)
 
@@ -159,7 +174,7 @@ def test_channel_attention_weights_in_unit_interval():
     params = init_model(small_config(), seed=4)
     blk = params.levels[0][0]
     rng = np.random.default_rng(2)
-    x = Tensor(rng.standard_normal((2, 12, 4, 4)).astype(np.float32))
+    x = Tensor(rng.standard_normal((2, 4, 4, 12)).astype(np.float32))
     out = channel_attention(x, blk)
     ratio = out.data / np.where(np.abs(x.data) < 1e-12, 1.0, x.data)
     gated = ratio[np.abs(x.data) >= 1e-12]
@@ -175,32 +190,32 @@ def test_channel_attention_symmetric_channels():
     blk.ca_w2.data[1] = blk.ca_w2.data[0]
     blk.ca_b2.data[1] = blk.ca_b2.data[0]
     rng = np.random.default_rng(3)
-    x = rng.standard_normal((1, 12, 4, 4)).astype(np.float32)
-    x[0, 1] = x[0, 0]  # identical spatial content
+    x = rng.standard_normal((1, 4, 4, 12)).astype(np.float32)
+    x[0, :, :, 1] = x[0, :, :, 0]  # identical spatial content
     out = channel_attention(Tensor(x), blk)
-    np.testing.assert_allclose(out.data[0, 0], out.data[0, 1], rtol=1e-6)
+    np.testing.assert_allclose(out.data[0, :, :, 0], out.data[0, :, :, 1], rtol=1e-6)
 
 
 # -- spatial attention ----------------------------------------------------------------------
 
 
 def test_spatial_attention_single_token_is_projected_v():
-    from ahmsa.tensor import conv2d
     params = init_model(small_config(), seed=5)
     blk = params.levels[2][0]
     rng = np.random.default_rng(4)
-    x = Tensor(rng.standard_normal((2, 12, 1, 1)).astype(np.float32))
+    x = Tensor(rng.standard_normal((2, 1, 1, 12)).astype(np.float32))
     out = spatial_attention(x, blk, heads=3)
-    v = conv2d(x, blk.v_w, blk.v_b)
-    expected = conv2d(v, blk.o_w, blk.o_b)
-    np.testing.assert_allclose(out.data, expected.data, atol=1e-6)
+    x_nchw = Tensor(x.data.reshape(2, 12, 1, 1))
+    v = conv2d(x_nchw, blk.v_w, blk.v_b)
+    expected = conv2d(v, blk.o_w, blk.o_b).data.reshape(out.shape)
+    np.testing.assert_allclose(out.data, expected, atol=1e-6)
 
 
 def test_spatial_attention_rows_sum_to_one():
     params = init_model(small_config(), seed=5)
     blk = params.levels[0][0]
     rng = np.random.default_rng(5)
-    x = Tensor(rng.standard_normal((2, 12, 4, 4)).astype(np.float32))
+    x = Tensor(rng.standard_normal((2, 4, 4, 12)).astype(np.float32))
     _, weights = spatial_attention(x, blk, heads=3, return_weights=True)
     assert weights.shape == (2, 3, 16, 16)
     np.testing.assert_allclose(weights.data.sum(axis=-1), 1.0, atol=1e-6)
@@ -212,15 +227,22 @@ def _permute_grid(arr: np.ndarray, perm: np.ndarray) -> np.ndarray:
     return flat.reshape(b, c, h, w)
 
 
+def _permute_grid_last(arr: np.ndarray, perm: np.ndarray) -> np.ndarray:
+    """``_permute_grid`` for a channels-last [B,H,W,C] array."""
+    b, h, w, c = arr.shape
+    return arr.reshape(b, h * w, c)[:, perm].reshape(b, h, w, c)
+
+
 def test_spatial_attention_permutation_equivariant():
     params = init_model(small_config(), seed=6)
     blk = params.levels[0][0]
     rng = np.random.default_rng(6)
-    x = rng.standard_normal((2, 12, 4, 4)).astype(np.float32)
+    x = rng.standard_normal((2, 4, 4, 12)).astype(np.float32)
     perm = rng.permutation(16)
     out = spatial_attention(Tensor(x), blk, heads=3).data
-    out_perm = spatial_attention(Tensor(_permute_grid(x, perm)), blk, heads=3).data
-    assert np.abs(out_perm - _permute_grid(out, perm)).max() < 1e-5
+    out_perm = spatial_attention(Tensor(_permute_grid_last(x, perm)), blk,
+                                 heads=3).data
+    assert np.abs(out_perm - _permute_grid_last(out, perm)).max() < 1e-5
 
 
 # -- feed forward -------------------------------------------------------------------------------
@@ -229,10 +251,10 @@ def test_spatial_attention_permutation_equivariant():
 def test_feed_forward_zero_preserving_and_shape():
     params = init_model(small_config(), seed=7)
     blk = params.levels[0][0]
-    zero = Tensor(np.zeros((1, 12, 4, 4), dtype=np.float32))
+    zero = Tensor(np.zeros((1, 4, 4, 12), dtype=np.float32))
     np.testing.assert_array_equal(feed_forward(zero, blk).data, 0.0)
     rng = np.random.default_rng(7)
-    x = Tensor(rng.standard_normal((3, 12, 4, 4)).astype(np.float32))
+    x = Tensor(rng.standard_normal((3, 4, 4, 12)).astype(np.float32))
     assert feed_forward(x, blk).shape == x.shape
 
 
@@ -240,10 +262,10 @@ def test_feed_forward_positionwise():
     params = init_model(small_config(), seed=7)
     blk = params.levels[0][0]
     rng = np.random.default_rng(8)
-    x = rng.standard_normal((1, 12, 4, 4)).astype(np.float32)
+    x = rng.standard_normal((1, 4, 4, 12)).astype(np.float32)
     perm = rng.permutation(16)
-    a = feed_forward(Tensor(_permute_grid(x, perm)), blk).data
-    b = _permute_grid(feed_forward(Tensor(x), blk).data, perm)
+    a = feed_forward(Tensor(_permute_grid_last(x, perm)), blk).data
+    b = _permute_grid_last(feed_forward(Tensor(x), blk).data, perm)
     assert np.abs(a - b).max() < 1e-6
 
 
@@ -456,12 +478,171 @@ def test_checkpoint_rejects_bad_magic(tmp_path):
         load_checkpoint(tmp_path / "bad.ckpt")
 
 
+@pytest.mark.parametrize("size", [0, 4, 6, 8])
+def test_checkpoint_rejects_file_shorter_than_header(tmp_path, size):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, init_model(small_config(), seed=21))
+    (tmp_path / "short.ckpt").write_bytes(path.read_bytes()[:size])
+    with pytest.raises(ValidationError, match="short.ckpt.*9-byte"):
+        load_checkpoint(tmp_path / "short.ckpt")
+
+
+def test_checkpoint_rejects_config_length_past_end(tmp_path):
+    import struct as _struct
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, init_model(small_config(), seed=21))
+    raw = bytearray(path.read_bytes())
+    _struct.pack_into("<I", raw, 5, len(raw))
+    (tmp_path / "long.ckpt").write_bytes(bytes(raw))
+    with pytest.raises(ValidationError, match="long.ckpt.*past the end"):
+        load_checkpoint(tmp_path / "long.ckpt")
+
+
+# -- channels-last layout against the [B,C,H,W] composition ------------------------------------
+# The reference below composes the network from conv2d, layer_norm(axis=1),
+# adaptive_pool, softmax and matmul on [B,C,H,W], with no 1x1-grid shortcuts.
+# The model runs its blocks channels-last, which only reorders float sums.
+
+
+def _ref_channel_attention(x, blk):
+    def squeeze_mlp(pooled):
+        return conv2d(relu(conv2d(pooled, blk.ca_w1, blk.ca_b1)), blk.ca_w2, blk.ca_b2)
+
+    avg = adaptive_pool(x, 1, 1, "avg")
+    mx = adaptive_pool(x, 1, 1, "max")
+    return x * sigmoid(squeeze_mlp(avg) + squeeze_mlp(mx))
+
+
+def _ref_spatial_attention(x, blk, heads):
+    b, c, h, w = x.shape
+    d, n = c // heads, h * w
+
+    def split_heads(t):
+        return transpose(reshape(t, (b, heads, d, n)), (0, 1, 3, 2))
+
+    q = split_heads(conv2d(x, blk.q_w, blk.q_b))
+    k = split_heads(conv2d(x, blk.k_w, blk.k_b))
+    v = split_heads(conv2d(x, blk.v_w, blk.v_b))
+    weights = softmax(matmul(q, transpose(k, (0, 1, 3, 2))) * (1.0 / np.sqrt(d)), axis=-1)
+    z = reshape(transpose(matmul(weights, v), (0, 1, 3, 2)), (b, c, h, w))
+    return conv2d(z, blk.o_w, blk.o_b)
+
+
+def _ref_forward(maps, params):
+    cfg = params.config
+    x = Tensor(np.ascontiguousarray(maps.transpose(0, 3, 1, 2)))
+    x = conv2d(x, params.patch_w, params.patch_b, stride=cfg.patch_size)
+    for level, blocks in enumerate(params.levels):
+        for blk in blocks:
+            x = x + _ref_channel_attention(layer_norm(x, blk.ln_ca, axis=1), blk)
+            x = x + _ref_spatial_attention(layer_norm(x, blk.ln_sa, axis=1), blk,
+                                           cfg.heads)
+            hidden = relu(conv2d(layer_norm(x, blk.ln_ff, axis=1), blk.ff_w1, blk.ff_b1))
+            x = x + conv2d(hidden, blk.ff_w2, blk.ff_b2)
+        if level < cfg.n_layers - 1:
+            tr = params.transitions[level]
+            side = x.shape[2] // cfg.downsample_factor
+            y = layer_norm(conv2d(x, tr.conv_w, tr.conv_b, padding=1), tr.ln, axis=1)
+            x = adaptive_pool(y, side, side, "max")
+    feats = reshape(x, (x.shape[0], cfg.embed_channels))
+    return matmul(feats, params.head_w) + params.head_b
+
+
+def _logits_and_grads(run, maps, labels, params):
+    named = params.named_parameters()
+    zero_grads(named)
+    logits = run(maps, params)
+    cross_entropy(logits, labels).backward()
+    return logits.data, {name: t.grad.copy() for name, t in named.items()}
+
+
+def test_forward_float64_matches_nchw_reference():
+    params = init_model(ModelConfig(), seed=22, dtype=np.float64)
+    rng = np.random.default_rng(22)
+    maps = rng.uniform(-1, 1, (4, 28, 28, 3))
+    labels = np.array([0, 1, 2, 1])
+    logits, grads = _logits_and_grads(forward, maps, labels, params)
+    ref_logits, ref_grads = _logits_and_grads(_ref_forward, maps, labels, params)
+    np.testing.assert_allclose(logits, ref_logits, rtol=1e-9, atol=1e-12)
+    for name, ref in ref_grads.items():
+        np.testing.assert_allclose(grads[name], ref, rtol=1e-9, atol=1e-12,
+                                   err_msg=name)
+
+
+def test_forward_float32_logits_match_nchw_reference():
+    params = init_model(ModelConfig(), seed=23)
+    rng = np.random.default_rng(23)
+    maps = rand_maps(rng, 8, ModelConfig())
+    np.testing.assert_allclose(forward(maps, params).data,
+                               _ref_forward(maps, params).data, rtol=0, atol=1e-4)
+
+
+def _general_spatial_attention(x, blk, heads):
+    """spatial_attention's attention path, taken also on a 1x1 grid."""
+    b, h, w, c = x.shape
+    d, n = c // heads, h * w
+
+    def split_heads(t):
+        return transpose(reshape(t, (b, n, heads, d)), (0, 2, 1, 3))
+
+    q = split_heads(linear(x, blk.q_w, blk.q_b))
+    k = split_heads(linear(x, blk.k_w, blk.k_b))
+    v = split_heads(linear(x, blk.v_w, blk.v_b))
+    weights = softmax(matmul(q, transpose(k, (0, 1, 3, 2))) * (1.0 / np.sqrt(d)), axis=-1)
+    z = reshape(transpose(matmul(weights, v), (0, 2, 1, 3)), (b, h, w, c))
+    return linear(z, blk.o_w, blk.o_b), weights
+
+
+def _general_channel_attention(x, blk):
+    """channel_attention with its pools, taken also on a 1x1 grid."""
+    def squeeze_mlp(pooled):
+        return linear(relu(linear(pooled, blk.ca_w1, blk.ca_b1)), blk.ca_w2, blk.ca_b2)
+
+    b, h, w, c = x.shape
+    positions = (b, 1, h * w, c)
+    avg = adaptive_pool(reshape(x, positions), 1, c, "avg")
+    mx = adaptive_pool(reshape(x, positions), 1, c, "max")
+    return x * sigmoid(squeeze_mlp(avg) + squeeze_mlp(mx))
+
+
+@pytest.mark.parametrize("part", ["sa", "ca"])
+def test_single_position_shortcuts_bit_exact(part):
+    cfg = ModelConfig()
+    params = init_model(cfg, seed=24)
+    blk = params.levels[2][0]
+    block_params = {name: t for name, t in params.named_parameters().items()
+                    if name.startswith("level2.block0.")}
+    rng = np.random.default_rng(24)
+    x0 = rng.standard_normal((5, 1, 1, cfg.embed_channels)).astype(np.float32)
+    g = rng.standard_normal(x0.shape).astype(np.float32)
+
+    def run(fn):
+        zero_grads(block_params)
+        x = Tensor(x0, requires_grad=True)
+        out = fn(x)
+        tsum(out * Tensor(g)).backward()
+        return out, x.grad, {n: t.grad.copy() for n, t in block_params.items()}
+
+    if part == "sa":
+        _, weights = spatial_attention(Tensor(x0), blk, cfg.heads, return_weights=True)
+        _, ref_weights = _general_spatial_attention(Tensor(x0), blk, cfg.heads)
+        assert weights.data.tobytes() == ref_weights.data.tobytes()
+        out, gx, grads = run(lambda x: spatial_attention(x, blk, cfg.heads))
+        ref, ref_gx, ref_grads = run(
+            lambda x: _general_spatial_attention(x, blk, cfg.heads)[0])
+    else:
+        out, gx, grads = run(lambda x: channel_attention(x, blk))
+        ref, ref_gx, ref_grads = run(lambda x: _general_channel_attention(x, blk))
+    assert out.data.tobytes() == ref.data.tobytes()
+    np.testing.assert_array_equal(gx, ref_gx)
+    for name, ref_grad in ref_grads.items():
+        np.testing.assert_array_equal(grads[name], ref_grad, err_msg=name)
+
+
 # -- end-to-end gradient check --------------------------------------------------------------------
 
 
 def test_end_to_end_gradients_match_finite_differences():
-    from ahmsa.tensor import cross_entropy
-
     # seed chosen so no relu/argmax kink falls inside the 1e-3 FD window
     cfg = tiny_config()
     params = init_model(cfg, seed=0, dtype=np.float64)

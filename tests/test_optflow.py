@@ -294,6 +294,22 @@ def test_pgm_rejects_wrong_magic(tmp_path):
         read_pgm(path)
 
 
+@pytest.mark.parametrize("dims,problem", [(b"4 four", "non-integer"),
+                                          (b"-4 -4", "non-positive")])
+def test_pgm_rejects_bad_header_dims(tmp_path, dims, problem):
+    path = tmp_path / "bad.pgm"
+    path.write_bytes(b"P5\n" + dims + b"\n255\n" + bytes(16))
+    with pytest.raises(ValidationError, match=f"bad.pgm.*{problem}"):
+        read_pgm(path)
+
+
+def test_pgm_rejects_truncated_pixel_data(tmp_path):
+    path = tmp_path / "cut.pgm"
+    path.write_bytes(b"P5\n4 4\n255\n" + bytes(10))
+    with pytest.raises(ValidationError, match="cut.pgm.*truncated pixel data"):
+        read_pgm(path)
+
+
 def test_flow_map_round_trip(tmp_path):
     rng = np.random.default_rng(13)
     fmap = rng.standard_normal((28, 28, 3)).astype(np.float32)
@@ -323,6 +339,16 @@ def test_flow_map_rejects_corrupt(tmp_path):
         read_flow_map(path)
     path.write_bytes(b"XXXX" + b"\x00" * 12)
     with pytest.raises(ValidationError):
+        read_flow_map(path)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_flow_map_rejects_non_finite_payload(tmp_path, bad):
+    fmap = np.zeros((4, 4, 3), dtype=np.float32)
+    fmap[2, 1, 0] = bad
+    path = tmp_path / "nf.flow"
+    write_flow_map(path, fmap)
+    with pytest.raises(ValidationError, match="nf.flow.*non-finite"):
         read_flow_map(path)
 
 

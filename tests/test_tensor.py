@@ -14,6 +14,7 @@ from ahmsa.tensor import (
     cross_entropy,
     init_adam,
     layer_norm,
+    linear,
     matmul,
     mul,
     no_grad,
@@ -92,6 +93,67 @@ def test_conv2d_gradient_matches_finite_differences():
         lambda a: float(tsum(conv2d(t64(x0), t64(a), t64(b0), padding=1)).data), k0)
     num_b = numeric_gradient(
         lambda a: float(tsum(conv2d(t64(x0), t64(k0), t64(a), padding=1)).data), b0)
+    assert relative_error(x.grad, num_x) < 1e-4
+    assert relative_error(k.grad, num_k) < 1e-4
+    assert relative_error(b.grad, num_b) < 1e-4
+
+
+def test_conv2d_strided_gradient_matches_finite_differences():
+    rng = np.random.default_rng(8)
+    x0 = rng.uniform(-1, 1, (2, 2, 7, 7))
+    k0 = rng.uniform(-1, 1, (3, 2, 3, 3))
+    w = rng.uniform(0.5, 1.5, (2, 3, 4, 4))
+
+    def loss_of(x_arr, k_arr):
+        return tsum(mul(conv2d(x_arr, k_arr, stride=2, padding=1), t64(w)))
+
+    x, k = t64(x0, requires_grad=True), t64(k0, requires_grad=True)
+    loss_of(x, k).backward()
+    num_x = numeric_gradient(lambda a: float(loss_of(t64(a), t64(k0)).data), x0)
+    num_k = numeric_gradient(lambda a: float(loss_of(t64(x0), t64(a)).data), k0)
+    assert relative_error(x.grad, num_x) < 1e-4
+    assert relative_error(k.grad, num_k) < 1e-4
+
+
+# -- linear -------------------------------------------------------------------
+
+
+def test_linear_matches_pointwise_conv():
+    rng = np.random.default_rng(9)
+    x = rng.standard_normal((2, 3, 4, 5))  # channels-last
+    k = rng.standard_normal((6, 5, 1, 1))
+    b = rng.standard_normal(6)
+    out = linear(t64(x), t64(k), t64(b)).data
+    ref = conv2d(t64(x.transpose(0, 3, 1, 2)), t64(k), t64(b)).data
+    np.testing.assert_allclose(out, ref.transpose(0, 2, 3, 1), rtol=1e-12)
+
+
+def test_linear_rejects_mismatched_weight():
+    x = Tensor(np.zeros((2, 5), dtype=np.float32))
+    with pytest.raises(DimensionError, match="linear weight"):
+        linear(x, Tensor(np.zeros((3, 4, 1, 1), dtype=np.float32)))
+    with pytest.raises(DimensionError, match="linear weight"):
+        linear(x, Tensor(np.zeros((3, 5, 3, 3), dtype=np.float32)))
+    with pytest.raises(DimensionError, match="bias"):
+        linear(x, Tensor(np.zeros((3, 5, 1, 1), dtype=np.float32)),
+               Tensor(np.zeros(4, dtype=np.float32)))
+
+
+def test_linear_gradient_matches_finite_differences():
+    rng = np.random.default_rng(10)
+    x0 = rng.uniform(-1, 1, (2, 3, 3, 4))
+    k0 = rng.uniform(-1, 1, (5, 4, 1, 1))
+    b0 = rng.uniform(-1, 1, 5)
+    w = rng.uniform(0.5, 1.5, (2, 3, 3, 5))
+
+    def loss_of(x_arr, k_arr, b_arr):
+        return tsum(mul(linear(x_arr, k_arr, b_arr), t64(w)))
+
+    x, k, b = (t64(a, requires_grad=True) for a in (x0, k0, b0))
+    loss_of(x, k, b).backward()
+    num_x = numeric_gradient(lambda a: float(loss_of(t64(a), t64(k0), t64(b0)).data), x0)
+    num_k = numeric_gradient(lambda a: float(loss_of(t64(x0), t64(a), t64(b0)).data), k0)
+    num_b = numeric_gradient(lambda a: float(loss_of(t64(x0), t64(k0), t64(a)).data), b0)
     assert relative_error(x.grad, num_x) < 1e-4
     assert relative_error(k.grad, num_k) < 1e-4
     assert relative_error(b.grad, num_b) < 1e-4
@@ -234,6 +296,22 @@ def test_adaptive_pool_gradients_match_finite_differences():
 
 
 # -- activations -----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("mode", ["max", "avg"])
+@pytest.mark.parametrize("in_hw,out_hw", [((4, 6), (2, 3)), ((4, 4), (1, 1)),
+                                          ((1, 6), (1, 6)), ((6, 3), (2, 1))])
+def test_adaptive_pool_reshape_path_matches_loop(mode, in_hw, out_hw):
+    from ahmsa.tensor import _pool_loop, _pool_reshape
+
+    rng = np.random.default_rng(11)
+    x = rng.standard_normal((2, 3) + in_hw)
+    x[0, 1, 0, :] = 5.0  # tied maxima: both must pick the first row-major cell
+    g = rng.standard_normal((2, 3) + out_hw)
+    data, backward = _pool_reshape(x, *out_hw, mode)
+    ref_data, ref_backward = _pool_loop(x, *out_hw, mode)
+    np.testing.assert_allclose(data, ref_data, rtol=1e-15, atol=0)
+    np.testing.assert_allclose(backward(g), ref_backward(g), rtol=1e-15, atol=0)
 
 
 def test_sigmoid_at_zero():
