@@ -16,6 +16,7 @@ permutations of grid positions.
 from __future__ import annotations
 
 import json
+import numbers
 import struct
 from dataclasses import dataclass, fields, replace
 
@@ -42,6 +43,10 @@ CHECKPOINT_MAGIC = b"AHMC"
 CHECKPOINT_VERSION = 1
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     """Architecture knobs; defaults give the 28x28x3 -> 3-class network."""
@@ -59,7 +64,8 @@ class ModelConfig:
     ffn_expansion: int = 4
 
     def __post_init__(self):
-        object.__setattr__(self, "blocks_per_layer", tuple(self.blocks_per_layer))
+        if isinstance(self.blocks_per_layer, list):
+            object.__setattr__(self, "blocks_per_layer", tuple(self.blocks_per_layer))
 
     @property
     def grid(self) -> int:
@@ -70,10 +76,18 @@ class ModelConfig:
 
     def validate(self) -> None:
         """Raise ConfigError listing every violated invariant."""
-        problems = []
-        for name in ("h_flow", "w_flow", "patch_size", "embed_channels", "heads",
-                     "n_layers", "downsample_factor", "n_classes",
-                     "channel_reduction", "ffn_expansion"):
+        int_fields = ("h_flow", "w_flow", "patch_size", "embed_channels", "heads",
+                      "n_layers", "downsample_factor", "n_classes",
+                      "channel_reduction", "ffn_expansion")
+        problems = [f"{name} must be an integer, got {getattr(self, name)!r}"
+                    for name in int_fields if not _is_int(getattr(self, name))]
+        if not (isinstance(self.blocks_per_layer, tuple)
+                and all(map(_is_int, self.blocks_per_layer))):
+            problems.append("blocks_per_layer must be a list of integers, "
+                            f"got {self.blocks_per_layer!r}")
+        if problems:  # the checks below need integers to compare
+            raise ConfigError("; ".join(problems))
+        for name in int_fields:
             if getattr(self, name) < 1:
                 problems.append(f"{name} must be positive")
         if self.n_classes < 2:
@@ -452,11 +466,18 @@ def load_checkpoint(path) -> ModelParams:
         cfg_dict = json.loads(cfg_raw.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ValidationError(f"{path}: corrupt config block: {exc}") from exc
+    if not isinstance(cfg_dict, dict):
+        raise ValidationError(
+            f"{path}: config block must be a JSON object, got {type(cfg_dict).__name__}")
     known = {f.name for f in fields(ModelConfig)}
     unknown = set(cfg_dict) - known
     if unknown:
         raise ValidationError(f"{path}: unknown config keys {sorted(unknown)}")
     config = ModelConfig(**cfg_dict)
+    try:
+        config.validate()
+    except ConfigError as exc:
+        raise ValidationError(f"{path}: invalid config: {exc}") from exc
     params = init_model(config, seed=0)
     offset = 9 + cfg_len
     for name, tensor in params.named_parameters().items():

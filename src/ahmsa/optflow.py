@@ -13,6 +13,8 @@ pixels, pointing from the onset frame to the apex frame.
 
 from __future__ import annotations
 
+import math
+import numbers
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -48,6 +50,19 @@ class TVL1Params:
 
     def __post_init__(self):
         problems = []
+        for name in ("lambda_weight", "theta", "tau", "pyramid_scale"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+                    or not math.isfinite(value):
+                problems.append(f"{name} must be a finite number, got {value!r}")
+        for name in ("n_warps", "n_inner_iters", "pyramid_levels"):
+            value = getattr(self, name)
+            if name == "pyramid_levels" and value is None:
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                problems.append(f"{name} must be an integer, got {value!r}")
+        if problems:  # the range checks below need numbers to compare
+            raise ValidationError("; ".join(problems))
         if self.lambda_weight <= 0:
             problems.append("lambda_weight must be positive")
         if self.theta <= 0:
@@ -156,75 +171,81 @@ def _pyramid(img: np.ndarray, scale: float, max_levels: int | None) -> list[np.n
     return levels
 
 
-def _forward_gradient(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    gx = np.zeros_like(a)
-    gy = np.zeros_like(a)
-    gx[:, :-1] = a[:, 1:] - a[:, :-1]
-    gy[:-1, :] = a[1:, :] - a[:-1, :]
-    return gx, gy
-
-
-def _divergence(px: np.ndarray, py: np.ndarray) -> np.ndarray:
+def _divergence(p: np.ndarray) -> np.ndarray:
+    """Backward-difference divergence of duals p[..., 2 (x, y), H, W]."""
+    px, py = p[..., 0, :, :], p[..., 1, :, :]
     div = np.empty_like(px)
-    div[:, 0] = px[:, 0]
-    div[:, 1:] = px[:, 1:] - px[:, :-1]
-    div[0, :] += py[0, :]
-    div[1:, :] += py[1:, :] - py[:-1, :]
+    div[..., :, 0] = px[..., :, 0]
+    div[..., :, 1:] = px[..., :, 1:] - px[..., :, :-1]
+    div[..., 0, :] += py[..., 0, :]
+    div[..., 1:, :] += py[..., 1:, :] - py[..., :-1, :]
     return div
-
-
-def _warp(img: np.ndarray, u: np.ndarray, v: np.ndarray,
-          yy: np.ndarray, xx: np.ndarray) -> np.ndarray:
-    return ndimage.map_coordinates(img, [yy + v, xx + u], order=1, mode="nearest")
 
 
 def _tvl1_level(i0: np.ndarray, i1: np.ndarray, u: np.ndarray, v: np.ndarray,
                 params: TVL1Params) -> tuple[np.ndarray, np.ndarray]:
+    """Warps and inner iterations of one pyramid level.
+
+    u and v are solved as one stacked field uv[2, H, W] with duals
+    p[2 (u, v), 2 (x, y), H, W]; every element sees the same float operations
+    in the same order as two separate per-field solves.
+    """
     h, w = i0.shape
     yy, xx = np.meshgrid(np.arange(h, dtype=np.float64),
                          np.arange(w, dtype=np.float64), indexing="ij")
     i1y, i1x = np.gradient(i1)
-    p11 = np.zeros_like(i0)
-    p12 = np.zeros_like(i0)
-    p21 = np.zeros_like(i0)
-    p22 = np.zeros_like(i0)
+    uv = np.stack([u, v])
+    p = np.zeros((2, 2, h, w))
+    # forward differences of uv; the last column (x) and row (y) stay 0
+    g = np.zeros_like(p)
     l_t = params.lambda_weight * params.theta
     taut = params.tau / params.theta
 
     for _ in range(params.n_warps):
-        i1w = _warp(i1, u, v, yy, xx)
-        i1wx = _warp(i1x, u, v, yy, xx)
-        i1wy = _warp(i1y, u, v, yy, xx)
-        grad_sq = i1wx ** 2 + i1wy ** 2
+        coords = np.stack([yy + uv[1], xx + uv[0]])
+        rho_c = ndimage.map_coordinates(i1, coords, order=1, mode="nearest")
+        grad = np.stack([
+            ndimage.map_coordinates(i1x, coords, order=1, mode="nearest"),
+            ndimage.map_coordinates(i1y, coords, order=1, mode="nearest"),
+        ])
+        del coords
+        grad_sq = grad[0] ** 2 + grad[1] ** 2
+        lo = -l_t * grad_sq
+        hi = l_t * grad_sq
+        denom = np.maximum(grad_sq, 1e-12)
+        del grad_sq
         # residual linearized at the warp point
-        rho_c = i1w - i1wx * u - i1wy * v - i0
+        rho_c -= grad[0] * uv[0]
+        rho_c -= grad[1] * uv[1]
+        rho_c -= i0
 
         for _ in range(params.n_inner_iters):
-            rho = rho_c + i1wx * u + i1wy * v
-            # pointwise data-term proximal step
-            d1 = np.where(
-                rho < -l_t * grad_sq, l_t * i1wx,
-                np.where(rho > l_t * grad_sq, -l_t * i1wx,
-                         -rho * i1wx / np.maximum(grad_sq, 1e-12)))
-            d2 = np.where(
-                rho < -l_t * grad_sq, l_t * i1wy,
-                np.where(rho > l_t * grad_sq, -l_t * i1wy,
-                         -rho * i1wy / np.maximum(grad_sq, 1e-12)))
-            v1 = u + d1
-            v2 = v + d2
+            d = grad * uv
+            rho = d[0] + rho_c
+            rho += d[1]
+            # pointwise data-term proximal step; lo <= hi, so the two clamps
+            # never overlap
+            np.multiply(-rho, grad, out=d)
+            d /= denom
+            np.multiply(grad, l_t, out=d, where=rho < lo)
+            np.multiply(grad, -l_t, out=d, where=rho > hi)
             # TV proximal via the dual variables
-            u = v1 + params.theta * _divergence(p11, p12)
-            v = v2 + params.theta * _divergence(p21, p22)
-            ux, uy = _forward_gradient(u)
-            vx, vy = _forward_gradient(v)
-            norm1 = 1.0 + taut * np.sqrt(ux ** 2 + uy ** 2)
-            norm2 = 1.0 + taut * np.sqrt(vx ** 2 + vy ** 2)
-            p11 = (p11 + taut * ux) / norm1
-            p12 = (p12 + taut * uy) / norm1
-            p21 = (p21 + taut * vx) / norm2
-            p22 = (p22 + taut * vy) / norm2
+            uv = uv + d  # not in place: `uv += d` measured ~1.4x slower at 128 px
+            del d, rho  # dead until the next iteration; keeps the peak down
+            uv += params.theta * _divergence(p)
+            np.subtract(uv[:, :, 1:], uv[:, :, :-1], out=g[:, 0, :, :-1])
+            np.subtract(uv[:, 1:, :], uv[:, :-1, :], out=g[:, 1, :-1, :])
+            norm = np.square(g[:, 0])
+            norm += np.square(g[:, 1])
+            np.sqrt(norm, out=norm)
+            norm *= taut
+            norm += 1.0
+            p += taut * g
+            p /= norm[:, None]
+        # free this warp's linearization before the next one is built
+        del grad, lo, hi, denom, rho_c
 
-    return u, v
+    return uv[0], uv[1]
 
 
 def tvl1_flow(onset: np.ndarray, apex: np.ndarray,

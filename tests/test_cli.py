@@ -147,6 +147,22 @@ def test_extract_flow_truncated_pgm_fails_one_sample(dataset, tmp_path, capsys):
     assert len(list(flow_dir.glob("*.flow"))) == 5
 
 
+@pytest.mark.parametrize("key,value", [("tvl1.n_warps", 2.5),
+                                       ("tvl1.lambda_weight", float("nan")),
+                                       ("tvl1.pyramid_levels", 1.5),
+                                       ("tvl1.n_inner_iters", True)])
+def test_extract_flow_rejects_mistyped_tvl1_config(dataset, tmp_path, capsys, key, value):
+    flow_dir = tmp_path / "flow"
+    code = run_cli("extract-flow", "--manifest", str(dataset / "manifest.csv"),
+                   "--out-dir", str(flow_dir),
+                   "--config", str(write_config(tmp_path, {key: value})))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("config error:") and key.split(".")[1] in err
+    assert not list(flow_dir.glob("*.flow"))
+
+
 # -- loso --------------------------------------------------------------------------
 
 

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -496,6 +498,41 @@ def test_checkpoint_rejects_config_length_past_end(tmp_path):
     (tmp_path / "long.ckpt").write_bytes(bytes(raw))
     with pytest.raises(ValidationError, match="long.ckpt.*past the end"):
         load_checkpoint(tmp_path / "long.ckpt")
+
+
+def _checkpoint_with_config_block(path, block: bytes):
+    """A checkpoint whose config block is replaced by raw bytes."""
+    import struct as _struct
+    from ahmsa.model import CHECKPOINT_MAGIC, CHECKPOINT_VERSION
+    path.write_bytes(CHECKPOINT_MAGIC + bytes([CHECKPOINT_VERSION])
+                     + _struct.pack("<I", len(block)) + block)
+    return path
+
+
+@pytest.mark.parametrize("block", [b"null", b"[1, 2]", b"3", b'"heads"'])
+def test_checkpoint_rejects_non_object_config(tmp_path, block):
+    path = _checkpoint_with_config_block(tmp_path / "cfg.ckpt", block)
+    with pytest.raises(ValidationError, match="cfg.ckpt.*must be a JSON object"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("cfg,problem", [
+    ({"heads": "3"}, "heads must be an integer"),
+    ({"embed_channels": 96.0}, "embed_channels must be an integer"),
+    ({"n_classes": True}, "n_classes must be an integer"),
+    ({"blocks_per_layer": 2}, "blocks_per_layer must be a list of integers"),
+    ({"blocks_per_layer": [2, "2", 8]}, "blocks_per_layer must be a list of integers"),
+])
+def test_checkpoint_rejects_mistyped_config(tmp_path, cfg, problem):
+    path = _checkpoint_with_config_block(tmp_path / "typed.ckpt",
+                                         json.dumps(cfg).encode())
+    with pytest.raises(ValidationError, match=f"typed.ckpt.*{problem}"):
+        load_checkpoint(path)
+
+
+def test_model_config_type_errors_are_config_errors():
+    with pytest.raises(ConfigError, match="heads must be an integer"):
+        ModelConfig(heads="3").validate()
 
 
 # -- channels-last layout against the [B,C,H,W] composition ------------------------------------

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from scipy import ndimage
 
-from ahmsa.errors import ValidationError
+from ahmsa import optflow
+from ahmsa.errors import AhmsaError, ValidationError
 from ahmsa.optflow import (
     FlowField,
     LandmarkSet,
@@ -103,11 +107,167 @@ def test_tvl1_deterministic():
     assert a.v.tobytes() == b.v.tobytes()
 
 
+# -- stacked-field solver against the per-field scheme -------------------------
+
+
+def _reference_tvl1_level(i0, i1, u, v, params):
+    """Per-field TV-L1 level: separate u/v updates, four duals, nested where."""
+    h, w = i0.shape
+    yy, xx = np.meshgrid(np.arange(h, dtype=np.float64),
+                         np.arange(w, dtype=np.float64), indexing="ij")
+
+    def warp(img):
+        return ndimage.map_coordinates(img, [yy + v, xx + u], order=1, mode="nearest")
+
+    def forward_gradient(a):
+        gx = np.zeros_like(a)
+        gy = np.zeros_like(a)
+        gx[:, :-1] = a[:, 1:] - a[:, :-1]
+        gy[:-1, :] = a[1:, :] - a[:-1, :]
+        return gx, gy
+
+    def divergence(px, py):
+        div = np.empty_like(px)
+        div[:, 0] = px[:, 0]
+        div[:, 1:] = px[:, 1:] - px[:, :-1]
+        div[0, :] += py[0, :]
+        div[1:, :] += py[1:, :] - py[:-1, :]
+        return div
+
+    i1y, i1x = np.gradient(i1)
+    p11, p12, p21, p22 = (np.zeros_like(i0) for _ in range(4))
+    l_t = params.lambda_weight * params.theta
+    taut = params.tau / params.theta
+    for _ in range(params.n_warps):
+        i1w, i1wx, i1wy = warp(i1), warp(i1x), warp(i1y)
+        grad_sq = i1wx ** 2 + i1wy ** 2
+        rho_c = i1w - i1wx * u - i1wy * v - i0
+        for _ in range(params.n_inner_iters):
+            rho = rho_c + i1wx * u + i1wy * v
+            d1 = np.where(
+                rho < -l_t * grad_sq, l_t * i1wx,
+                np.where(rho > l_t * grad_sq, -l_t * i1wx,
+                         -rho * i1wx / np.maximum(grad_sq, 1e-12)))
+            d2 = np.where(
+                rho < -l_t * grad_sq, l_t * i1wy,
+                np.where(rho > l_t * grad_sq, -l_t * i1wy,
+                         -rho * i1wy / np.maximum(grad_sq, 1e-12)))
+            u = u + d1 + params.theta * divergence(p11, p12)
+            v = v + d2 + params.theta * divergence(p21, p22)
+            ux, uy = forward_gradient(u)
+            vx, vy = forward_gradient(v)
+            norm1 = 1.0 + taut * np.sqrt(ux ** 2 + uy ** 2)
+            norm2 = 1.0 + taut * np.sqrt(vx ** 2 + vy ** 2)
+            p11 = (p11 + taut * ux) / norm1
+            p12 = (p12 + taut * uy) / norm1
+            p21 = (p21 + taut * vx) / norm2
+            p22 = (p22 + taut * vy) / norm2
+    return u, v
+
+
+def _reference_tvl1_flow(onset, apex, params):
+    pyr0 = optflow._pyramid(onset * 255.0, params.pyramid_scale, params.pyramid_levels)
+    pyr1 = optflow._pyramid(apex * 255.0, params.pyramid_scale, params.pyramid_levels)
+    u = np.zeros_like(pyr0[-1])
+    v = np.zeros_like(pyr0[-1])
+    for i0, i1 in zip(reversed(pyr0), reversed(pyr1)):
+        if u.shape != i0.shape:
+            (h_new, w_new), (h_old, w_old) = i0.shape, u.shape
+            u = optflow._resize_bilinear(u, h_new, w_new) * (w_new / w_old)
+            v = optflow._resize_bilinear(v, h_new, w_new) * (h_new / h_old)
+        u, v = _reference_tvl1_level(i0, i1, u, v, params)
+    return u, v
+
+
+def _same_bits(got, want):
+    """Equal values, signs of zero included."""
+    return all(np.array_equal(g, w) and g.tobytes() == w.tobytes()
+               for g, w in zip(got, want))
+
+
+def _textured_pair(h, w, dy, dx):
+    tex = smooth_texture(21, n=max(h, w))[:h, :w]
+    apex = fourier_shift(smooth_texture(21, n=max(h, w)), dy, dx)[:h, :w]
+    return tex, apex
+
+
+@pytest.mark.parametrize("dims,shift", [((64, 64), (1.5, -2.0)),
+                                        ((40, 24), (-0.7, 1.2))])
+def test_tvl1_level_matches_per_field_reference(dims, shift):
+    onset, apex = _textured_pair(*dims, *shift)
+    params = TVL1Params()
+    i0, i1 = onset * 255.0, apex * 255.0
+    zero = np.zeros(dims)
+    want_u, want_v = _reference_tvl1_level(i0, i1, zero, zero, params)
+    got_u, got_v = optflow._tvl1_level(i0, i1, zero, zero, params)
+    assert _same_bits((got_u, got_v), (want_u, want_v))
+
+
+def test_tvl1_level_matches_reference_from_nonzero_start():
+    onset, apex = _textured_pair(32, 48, 0.8, -1.1)
+    params = TVL1Params(pyramid_levels=1, n_warps=2)
+    rng = np.random.default_rng(17)
+    u0 = rng.uniform(-1.0, 1.0, (32, 48))
+    v0 = rng.uniform(-1.0, 1.0, (32, 48))
+    i0, i1 = onset * 255.0, apex * 255.0
+    want_u, want_v = _reference_tvl1_level(i0, i1, u0, v0, params)
+    got_u, got_v = optflow._tvl1_level(i0, i1, u0, v0, params)
+    assert _same_bits((got_u, got_v), (want_u, want_v))
+    flow = tvl1_flow(onset, apex, params)
+    zero = np.zeros((32, 48))
+    want_u, want_v = _reference_tvl1_level(i0, i1, zero, zero, params)
+    assert _same_bits((flow.u, flow.v), (want_u, want_v))
+
+
+@pytest.mark.parametrize("apex_level", [100.0, 103.0])
+def test_tvl1_level_matches_reference_on_flat_image(apex_level):
+    # grad_sq == 0 everywhere: the 1e-12 denominator floor (equal frames) or
+    # the clamps (a brightness step) decide the data step
+    i0 = np.full((20, 20), 100.0)
+    i1 = np.full((20, 20), apex_level)
+    params = TVL1Params(n_warps=2, n_inner_iters=5)
+    zero = np.zeros((20, 20))
+    want_u, want_v = _reference_tvl1_level(i0, i1, zero, zero, params)
+    got_u, got_v = optflow._tvl1_level(i0, i1, zero, zero, params)
+    assert _same_bits((got_u, got_v), (want_u, want_v))
+
+
+def test_tvl1_flow_file_bytes_match_reference(tmp_path):
+    onset, apex = _textured_pair(64, 64, -1.0, 0.5)
+    params = TVL1Params()
+    flow = tvl1_flow(onset, apex, params)
+    ref = FlowField(*_reference_tvl1_flow(onset, apex, params))
+    for name, fl in (("got", flow), ("want", ref)):
+        write_flow_map(tmp_path / f"{name}.flow",
+                       assemble_flow_map(fl, optical_strain(fl)).astype(np.float32))
+    assert (tmp_path / "got.flow").read_bytes() == (tmp_path / "want.flow").read_bytes()
+
+
 def test_tvl1_param_validation():
     with pytest.raises(ValidationError, match="stability"):
         TVL1Params(tau=0.5, theta=0.3)
     with pytest.raises(ValidationError):
         TVL1Params(pyramid_scale=1.5)
+
+
+@pytest.mark.parametrize("field,value,problem", [
+    ("n_warps", 2.5, "n_warps must be an integer"),
+    ("n_inner_iters", True, "n_inner_iters must be an integer"),
+    ("pyramid_levels", 1.5, "pyramid_levels must be an integer"),
+    ("pyramid_levels", "2", "pyramid_levels must be an integer"),
+    ("lambda_weight", float("nan"), "lambda_weight must be a finite number"),
+    ("theta", float("inf"), "theta must be a finite number"),
+    ("tau", "0.25", "tau must be a finite number"),
+    ("pyramid_scale", False, "pyramid_scale must be a finite number"),
+])
+def test_tvl1_params_reject_wrong_types(field, value, problem):
+    with pytest.raises(ValidationError, match=problem):
+        TVL1Params(**{field: value})
+
+
+def test_tvl1_params_accept_integral_weights():
+    params = TVL1Params(lambda_weight=1, pyramid_levels=None, n_warps=np.int64(2))
+    assert params.lambda_weight == 1 and params.n_warps == 2
 
 
 # -- optical_strain ---------------------------------------------------------------
@@ -350,6 +510,63 @@ def test_flow_map_rejects_non_finite_payload(tmp_path, bad):
     write_flow_map(path, fmap)
     with pytest.raises(ValidationError, match="nf.flow.*non-finite"):
         read_flow_map(path)
+
+
+# -- parsers on arbitrary bytes ------------------------------------------------------------
+# Any file content yields an array or an AhmsaError, never another exception.
+
+FUZZ = settings(max_examples=150, deadline=None, derandomize=True, database=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+@st.composite
+def _pgm_like(draw):
+    """Mostly-well-formed P5 files, so the fuzz reaches the pixel checks."""
+    magic = draw(st.sampled_from([b"P5", b"P5", b"P2"]))
+    w, h = draw(st.integers(-1, 6)), draw(st.integers(-1, 6))
+    maxval = draw(st.sampled_from([b"255", b"255", b"65535", b"2x5"]))
+    sep = draw(st.sampled_from([b" ", b"\n", b"\t", b"\n# note\n"]))
+    header = sep.join([magic, str(w).encode(), str(h).encode(), maxval]) + b"\n"
+    n = max(w, 0) * max(h, 0)
+    return header + draw(st.one_of(st.binary(min_size=n, max_size=n + 3),
+                                   st.binary(max_size=n)))
+
+
+@FUZZ
+@given(raw=st.one_of(st.binary(max_size=300), _pgm_like()))
+def test_read_pgm_arbitrary_bytes(tmp_path, raw):
+    path = tmp_path / "fuzz.pgm"
+    path.write_bytes(raw)
+    try:
+        img = read_pgm(path)
+    except AhmsaError:
+        return
+    assert isinstance(img, np.ndarray) and img.ndim == 2
+    assert img.min() >= 0.0 and img.max() <= 1.0
+
+
+@st.composite
+def _flow_like(draw):
+    """Valid magic and version mostly, with arbitrary dims and payload."""
+    magic = draw(st.sampled_from([b"AHMS", b"AHMS", b"AHMX"]))
+    version = draw(st.sampled_from([1, 1, 0, 2]))
+    dims = draw(st.tuples(st.integers(0, 4), st.integers(0, 4)))
+    header = magic + bytes([version, 0, 0, 0]) + np.array(dims, "<u4").tobytes()
+    exact = dims[0] * dims[1] * 12
+    return header + draw(st.one_of(st.binary(min_size=exact, max_size=exact),
+                                   st.binary(max_size=200)))
+
+
+@FUZZ
+@given(raw=st.one_of(st.binary(max_size=300), _flow_like()))
+def test_read_flow_map_arbitrary_bytes(tmp_path, raw):
+    path = tmp_path / "fuzz.flow"
+    path.write_bytes(raw)
+    try:
+        fmap = read_flow_map(path)
+    except AhmsaError:
+        return
+    assert isinstance(fmap, np.ndarray) and fmap.dtype == np.float32
+    assert fmap.ndim == 3 and fmap.shape[2] == 3 and np.isfinite(fmap).all()
 
 
 def test_standardize_channels_zero_variance_fallback():
