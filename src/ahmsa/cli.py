@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from .data import CLASS_NAMES, DatasetManifest, gen_synthetic, load_manifest
-from .errors import AhmsaError, ConfigError, ValidationError
+from .errors import AhmsaError, ConfigError, ValidationError, is_int
 from .model import ModelConfig, save_checkpoint
 from .optflow import (
     TVL1Params,
@@ -51,9 +51,16 @@ class FlowOptions:
 
     def validate(self) -> None:
         problems = []
-        if self.region_px < 1:
+        if not is_int(self.region_px):
+            problems.append(f"flow.region_px must be an integer, got {self.region_px!r}")
+        elif self.region_px < 1:
             problems.append(f"flow.region_px must be positive, got {self.region_px}")
-        if self.norm not in ("standardize", "none"):
+        if not isinstance(self.include_nose, bool):
+            problems.append(
+                f"flow.include_nose must be true or false, got {self.include_nose!r}")
+        if not isinstance(self.norm, str):
+            problems.append(f"flow.norm must be a string, got {self.norm!r}")
+        elif self.norm not in ("standardize", "none"):
             problems.append(f"flow.norm must be 'standardize' or 'none', got {self.norm!r}")
         if problems:
             raise ConfigError("; ".join(problems))
@@ -108,7 +115,7 @@ def build_run_config(config_path: str | None,
             raise ConfigError(f"config file not found: {path}")
         try:
             loaded = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ConfigError(f"{path}: top level must be an object of dotted keys")

@@ -1,4 +1,23 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the type predicates that
+config validation uses before comparing values."""
+
+import math
+import numbers
+
+
+def is_int(value) -> bool:
+    """An integer that is not a bool (JSON ``true`` must not pass as 1)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def is_finite_real(value) -> bool:
+    """A non-bool real number that converts to a finite float."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False
 
 
 class AhmsaError(Exception):

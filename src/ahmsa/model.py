@@ -16,13 +16,12 @@ permutations of grid positions.
 from __future__ import annotations
 
 import json
-import numbers
 import struct
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, ValidationError
+from .errors import ConfigError, DimensionError, ValidationError, is_int
 from .tensor import (
     LayerNormParams,
     Tensor,
@@ -41,10 +40,6 @@ from .tensor import (
 
 CHECKPOINT_MAGIC = b"AHMC"
 CHECKPOINT_VERSION = 1
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -80,9 +75,9 @@ class ModelConfig:
                       "n_layers", "downsample_factor", "n_classes",
                       "channel_reduction", "ffn_expansion")
         problems = [f"{name} must be an integer, got {getattr(self, name)!r}"
-                    for name in int_fields if not _is_int(getattr(self, name))]
+                    for name in int_fields if not is_int(getattr(self, name))]
         if not (isinstance(self.blocks_per_layer, tuple)
-                and all(map(_is_int, self.blocks_per_layer))):
+                and all(map(is_int, self.blocks_per_layer))):
             problems.append("blocks_per_layer must be a list of integers, "
                             f"got {self.blocks_per_layer!r}")
         if problems:  # the checks below need integers to compare
@@ -107,8 +102,14 @@ class ModelConfig:
             problems.append(
                 f"input dims {self.h_flow}x{self.w_flow} not divisible by "
                 f"patch_size={self.patch_size}")
-        elif self.patch_size >= 1 and self.downsample_factor >= 1:
-            top = self.downsample_factor ** (self.n_layers - 1)
+        elif self.patch_size >= 1 and self.downsample_factor >= 1 and self.n_layers >= 1:
+            # past grid.bit_length() levels any factor >= 2 overshoots the
+            # grid; the power is then not computed, as it could be huge
+            if self.downsample_factor > 1 and \
+                    self.n_layers - 1 > self.grid.bit_length():
+                top = f"more than {self.grid}"
+            else:
+                top = self.downsample_factor ** (self.n_layers - 1)
             if self.grid != top:
                 problems.append(
                     f"patch grid {self.grid} must equal "
@@ -265,6 +266,22 @@ def init_model(config: ModelConfig, seed: int, dtype=np.float32) -> ModelParams:
     return ModelParams(config=config, patch_w=patch_w, patch_b=patch_b,
                        levels=levels, transitions=transitions,
                        head_w=head_w, head_b=head_b)
+
+
+def parameter_count(config: ModelConfig) -> int:
+    """Number of learnable scalars ``init_model(config)`` creates, from shapes alone."""
+    c = config.embed_channels
+    hidden = c // config.channel_reduction
+    ffn = c * config.ffn_expansion
+    norm = 2 * c
+    block = (3 * norm + 2 * hidden * c + hidden + c  # channel-attention MLP
+             + 4 * (c * c + c)  # q, k, v, o
+             + 2 * ffn * c + ffn + c)
+    transition = 9 * c * c + c + norm
+    return (3 * config.patch_size ** 2 * c + c
+            + sum(config.blocks_per_layer) * block
+            + (config.n_layers - 1) * transition
+            + c * config.n_classes + config.n_classes)
 
 
 # -- forward pieces -----------------------------------------------------------
@@ -464,7 +481,7 @@ def load_checkpoint(path) -> ModelParams:
     cfg_raw = data[9:9 + cfg_len]
     try:
         cfg_dict = json.loads(cfg_raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ValidationError(f"{path}: corrupt config block: {exc}") from exc
     if not isinstance(cfg_dict, dict):
         raise ValidationError(
@@ -478,21 +495,23 @@ def load_checkpoint(path) -> ModelParams:
         config.validate()
     except ConfigError as exc:
         raise ValidationError(f"{path}: invalid config: {exc}") from exc
-    params = init_model(config, seed=0)
     offset = 9 + cfg_len
+    # checked before init_model, so a config naming a huge model allocates nothing
+    expected = 4 * parameter_count(config)
+    if len(data) - offset != expected:
+        problem = "truncated" if len(data) - offset < expected else "trailing bytes"
+        raise ValidationError(
+            f"{path}: {problem}: {len(data) - offset} parameter bytes, "
+            f"the config needs {expected}")
+    params = init_model(config, seed=0)
     for name, tensor in params.named_parameters().items():
-        nbytes = tensor.data.size * 4
-        if offset + nbytes > len(data):
-            raise ValidationError(f"{path}: truncated at parameter {name!r}")
         flat = np.frombuffer(data, dtype="<f4", count=tensor.data.size,
                              offset=offset)
+        if not np.isfinite(flat).all():
+            raise ValidationError(f"{path}: non-finite values in parameter {name!r}")
         tensor.data = flat.reshape(tensor.data.shape).copy()
         tensor.grad = np.zeros_like(tensor.data)
-        offset += nbytes
-    if offset != len(data):
-        raise ValidationError(
-            f"{path}: {len(data) - offset} trailing bytes after parameters"
-        )
+        offset += tensor.data.size * 4
     return params
 
 

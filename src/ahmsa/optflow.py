@@ -13,8 +13,6 @@ pixels, pointing from the onset frame to the apex frame.
 
 from __future__ import annotations
 
-import math
-import numbers
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,7 +20,7 @@ from pathlib import Path
 import numpy as np
 from scipy import ndimage
 
-from .errors import DimensionError, ValidationError
+from .errors import DimensionError, ValidationError, is_finite_real, is_int
 
 FLOW_MAGIC = b"AHMS"
 FLOW_FORMAT_VERSION = 1
@@ -52,14 +50,13 @@ class TVL1Params:
         problems = []
         for name in ("lambda_weight", "theta", "tau", "pyramid_scale"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real) \
-                    or not math.isfinite(value):
+            if not is_finite_real(value):
                 problems.append(f"{name} must be a finite number, got {value!r}")
         for name in ("n_warps", "n_inner_iters", "pyramid_levels"):
             value = getattr(self, name)
             if name == "pyramid_levels" and value is None:
                 continue
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            if not is_int(value):
                 problems.append(f"{name} must be an integer, got {value!r}")
         if problems:  # the range checks below need numbers to compare
             raise ValidationError("; ".join(problems))

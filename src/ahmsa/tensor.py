@@ -109,26 +109,36 @@ class Tensor:
             return
         order = self._topological_order()
         # Per-call accumulation buffers; leaf .grad receives the finished totals.
+        # A first contribution is kept as returned: it may alias g, another
+        # contribution or a closure's saved array, so it is never written.
+        # The second becomes a fresh sum that later contributions add into.
         pending: dict[int, np.ndarray] = {id(self): np.ones_like(self.data)}
+        owned: set[int] = set()
         for node in reversed(order):
-            g = pending.pop(id(node), None)
+            key = id(node)
+            g = pending.pop(key, None)
             if g is None:
                 continue
             if node._backward is None:
                 if node._grad is None:
-                    node._grad = g.copy()
+                    node._grad = g if key in owned else g.copy()
                 else:
                     node._grad += g
                 continue
             for parent, contribution in zip(node._parents, node._backward(g)):
                 if contribution is None or not parent.requires_grad:
                     continue
-                existing = pending.get(id(parent))
+                pkey = id(parent)
+                existing = pending.get(pkey)
                 if existing is None:
-                    # own the buffer: contributions may alias g or each other
-                    pending[id(parent)] = np.array(contribution)
-                else:
+                    pending[pkey] = contribution
+                elif pkey in owned:
                     existing += contribution
+                else:
+                    total = np.empty_like(existing)
+                    np.add(existing, contribution, out=total)
+                    pending[pkey] = total
+                    owned.add(pkey)
 
     def _topological_order(self) -> list["Tensor"]:
         order: list[Tensor] = []
@@ -206,7 +216,8 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     data = a.data + b.data
 
     def backward(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        return (_unbroadcast(g, a.shape) if a.requires_grad else None,
+                _unbroadcast(g, b.shape) if b.requires_grad else None)
 
     return _make(data, (a, b), backward)
 
@@ -216,7 +227,9 @@ def mul(a: Tensor, b) -> Tensor:
     data = a.data * b.data
 
     def backward(g):
-        return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
+        # constants (e.g. scalar factors) get no gradient
+        return (_unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
+                _unbroadcast(g * a.data, b.shape) if b.requires_grad else None)
 
     return _make(data, (a, b), backward)
 
@@ -265,11 +278,10 @@ def relu(x: Tensor) -> Tensor:
 
 def sigmoid(x: Tensor) -> Tensor:
     z = x.data
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
+    # e = exp(-|z|) never overflows: 1/(1+e) for z >= 0, e/(1+e) below
+    e = np.exp(-np.abs(z))
+    denom = 1.0 + e
+    out = np.where(z >= 0, 1.0 / denom, e / denom)
 
     def backward(g):
         return (g * out * (1.0 - out),)
@@ -470,10 +482,11 @@ def layer_norm(x: Tensor, params: LayerNormParams, axis: int = -1) -> Tensor:
     bshape = [1] * x.ndim
     bshape[axis] = n
     gb = gamma.data.reshape(bshape)
-    mean = x.data.mean(axis=axis, keepdims=True)
-    var = x.data.var(axis=axis, keepdims=True)  # population (biased)
+    xhat = x.data - x.data.mean(axis=axis, keepdims=True)
+    # population variance by the operations np.var runs, on the centred copy
+    var = np.square(xhat).mean(axis=axis, keepdims=True)
     inv = 1.0 / np.sqrt(var + np.asarray(params.epsilon, dtype=x.dtype))
-    xhat = (x.data - mean) * inv
+    xhat *= inv
     data = xhat * gb + beta.data.reshape(bshape)
     reduce_axes = tuple(i for i in range(x.ndim) if i != axis)
 
@@ -634,17 +647,32 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
 # -- Adam optimizer --------------------------------------------------------------
 
 
+# Elements per Adam group: whole consecutive parameters are updated together
+# so the ~14 elementwise passes of a group run on cache-resident buffers.
+ADAM_GROUP_ELEMS = 1 << 16
+
+
 @dataclass
 class AdamState:
-    """First/second moment buffers plus hyperparameters for one parameter set."""
+    """Moment buffers plus hyperparameters for one parameter set.
+
+    ``init_adam`` moves every parameter into the flat ``data`` arena, in
+    parameter order, and binds each ``Tensor.data`` to its view there
+    (``views``).  ``m`` and ``v`` are laid out like ``data``.  ``groups``
+    holds (start, stop, names) runs of whole consecutive parameters of at
+    most ADAM_GROUP_ELEMS elements (a larger parameter runs alone).
+    """
 
     lr: float
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     step_count: int = 0
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
+    data: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    m: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    v: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    views: dict[str, np.ndarray] = field(default_factory=dict)
+    groups: list[tuple[int, int, tuple[str, ...]]] = field(default_factory=list)
 
     def __post_init__(self):
         if self.lr < 0:
@@ -657,34 +685,85 @@ class AdamState:
 
 def init_adam(params: dict[str, Tensor], lr: float, beta1: float = 0.9,
               beta2: float = 0.999, eps: float = 1e-8) -> AdamState:
+    """Zero moments for ``params``, whose ``data`` is rebound to arena views."""
     state = AdamState(lr=lr, beta1=beta1, beta2=beta2, eps=eps)
+    dtypes = {p.data.dtype for p in params.values()}
+    if len(dtypes) > 1:
+        raise UsageError(
+            f"Adam needs one parameter dtype, got {sorted(d.name for d in dtypes)}")
+    dtype = dtypes.pop() if dtypes else np.dtype(DEFAULT_DTYPE)
+    total = sum(p.data.size for p in params.values())
+    state.data = np.empty(total, dtype=dtype)
+    state.m = np.zeros(total, dtype=dtype)
+    state.v = np.zeros(total, dtype=dtype)
+    offset = start = 0
+    names: list[str] = []
     for name, p in params.items():
-        state.m[name] = np.zeros_like(p.data)
-        state.v[name] = np.zeros_like(p.data)
+        stop = offset + p.data.size
+        if names and stop - start > ADAM_GROUP_ELEMS:
+            state.groups.append((start, offset, tuple(names)))
+            start, names = offset, []
+        names.append(name)
+        view = state.data[offset:stop].reshape(p.data.shape)
+        view[...] = p.data
+        p.data = state.views[name] = view
+        offset = stop
+    if names:
+        state.groups.append((start, offset, tuple(names)))
     return state
 
 
 def adam_step(params: dict[str, Tensor], state: AdamState) -> None:
-    """One in-place Adam update with bias correction. Gradients are left intact."""
+    """One in-place Adam update with bias correction. Gradients are left intact.
+
+    Each element sees the per-tensor update's operations in the same order,
+    so the result is bit-identical to updating one parameter at a time.
+    """
     for name, p in params.items():
         if p.grad is None:
             raise UsageError(f"parameter {name!r} has no gradient buffer")
-        if name not in state.m:
+        view = state.views.get(name)
+        if view is None:
             raise UsageError(f"optimizer state is missing buffers for {name!r}")
+        if p.data is not view:
+            raise UsageError(
+                f"parameter {name!r} no longer views the optimizer arena "
+                "(its data was rebound after init_adam)")
+    if len(params) != len(state.views):
+        missing = sorted(set(state.views) - set(params))
+        raise UsageError(f"parameters {missing} of the optimizer state were not passed")
     state.step_count += 1
     t = state.step_count
     bc1 = 1.0 - state.beta1 ** t
     bc2 = 1.0 - state.beta2 ** t
-    for name, p in params.items():
-        g = p.grad
-        m = state.m[name]
-        v = state.v[name]
+    widest = max((stop - start for start, stop, _ in state.groups), default=0)
+    gathered = np.empty(widest, dtype=state.data.dtype)
+    s1 = np.empty_like(gathered)
+    s2 = np.empty_like(gathered)
+    for start, stop, names in state.groups:
+        n = stop - start
+        if len(names) == 1:
+            g = params[names[0]].grad.reshape(-1)
+        else:
+            g = np.concatenate([params[name].grad for name in names], axis=None,
+                               out=gathered[:n])
+        m = state.m[start:stop]
+        v = state.v[start:stop]
+        a, b = s1[:n], s2[:n]
         m *= state.beta1
-        m += (1.0 - state.beta1) * g
+        np.multiply(g, 1.0 - state.beta1, out=a)
+        m += a
         v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        step = (m / bc1) / (np.sqrt(v / bc2) + state.eps)
-        p.data -= np.asarray(state.lr * step, dtype=p.data.dtype)
+        np.multiply(g, 1.0 - state.beta2, out=a)
+        a *= g
+        v += a
+        np.divide(m, bc1, out=a)
+        np.divide(v, bc2, out=b)
+        np.sqrt(b, out=b)
+        b += state.eps
+        a /= b
+        a *= state.lr
+        state.data[start:stop] -= a
 
 
 def zero_grads(params: dict[str, Tensor]) -> None:

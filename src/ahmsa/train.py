@@ -24,7 +24,13 @@ from .data import (
     uar,
     uf1,
 )
-from .errors import ConfigError, TrainingDivergedError, ValidationError
+from .errors import (
+    ConfigError,
+    TrainingDivergedError,
+    ValidationError,
+    is_finite_real,
+    is_int,
+)
 from .model import ModelConfig, ModelParams, forward, init_model
 from .tensor import adam_step, cross_entropy, init_adam, no_grad, zero_grads
 
@@ -45,7 +51,16 @@ class TrainConfig:
     log_every: int = 0  # epochs between loss log lines; 0 disables
 
     def validate(self) -> None:
-        problems = []
+        problems = [f"{name} must be an integer, got {getattr(self, name)!r}"
+                    for name in ("epochs", "batch_size", "seed", "log_every")
+                    if not is_int(getattr(self, name))]
+        if not is_finite_real(self.learning_rate):
+            problems.append(
+                f"learning_rate must be a finite number, got {self.learning_rate!r}")
+        if not isinstance(self.shuffle, bool):
+            problems.append(f"shuffle must be true or false, got {self.shuffle!r}")
+        if problems:  # the checks below need numbers to compare
+            raise ConfigError("; ".join(problems))
         if self.epochs < 1:
             problems.append(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
@@ -53,6 +68,8 @@ class TrainConfig:
         if self.learning_rate < 0:
             problems.append(
                 f"learning_rate must be non-negative, got {self.learning_rate}")
+        if self.seed < 0:
+            problems.append(f"seed must be >= 0, got {self.seed}")
         if self.log_every < 0:
             problems.append(f"log_every must be >= 0, got {self.log_every}")
         if problems:

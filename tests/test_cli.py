@@ -4,9 +4,11 @@ import shutil
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ahmsa.cli import build_run_config, confusion_to_csv, confusion_to_svg, main
-from ahmsa.errors import ConfigError
+from ahmsa.errors import AhmsaError, ConfigError
 
 
 def run_cli(*argv) -> int:
@@ -152,6 +154,20 @@ def test_extract_flow_truncated_pgm_fails_one_sample(dataset, tmp_path, capsys):
                                        ("tvl1.pyramid_levels", 1.5),
                                        ("tvl1.n_inner_iters", True)])
 def test_extract_flow_rejects_mistyped_tvl1_config(dataset, tmp_path, capsys, key, value):
+    _assert_extract_flow_config_error(dataset, tmp_path, capsys, key, value)
+
+
+@pytest.mark.parametrize("key,value", [("train.batch_size", "3"),
+                                       ("flow.region_px", "16"),
+                                       ("train.epochs", 2.5),
+                                       ("train.learning_rate", float("nan")),
+                                       ("flow.include_nose", "yes")])
+def test_extract_flow_rejects_mistyped_train_and_flow_config(dataset, tmp_path, capsys,
+                                                              key, value):
+    _assert_extract_flow_config_error(dataset, tmp_path, capsys, key, value)
+
+
+def _assert_extract_flow_config_error(dataset, tmp_path, capsys, key, value):
     flow_dir = tmp_path / "flow"
     code = run_cli("extract-flow", "--manifest", str(dataset / "manifest.csv"),
                    "--out-dir", str(flow_dir),
@@ -323,6 +339,51 @@ def test_build_run_config_lists_all_section_errors():
         build_run_config(None, {"train.batch_size": 0, "model.heads": 5})
     msg = str(err.value)
     assert "batch_size" in msg and "heads" in msg
+
+
+@pytest.mark.parametrize("key,value,problem", [
+    ("flow.region_px", 16.0, "flow.region_px must be an integer"),
+    ("flow.region_px", True, "flow.region_px must be an integer"),
+    ("flow.include_nose", 1, "flow.include_nose must be true or false"),
+    ("flow.norm", ["none"], "flow.norm must be a string"),
+    ("flow.norm", "zscore", "flow.norm must be 'standardize' or 'none'"),
+])
+def test_build_run_config_rejects_mistyped_flow_options(key, value, problem):
+    with pytest.raises(ConfigError, match=problem):
+        build_run_config(None, {key: value})
+
+
+def test_build_run_config_rejects_deeply_nested_json(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    with pytest.raises(ConfigError, match="deep.json: invalid JSON"):
+        build_run_config(str(path), {})
+
+
+# Any JSON object over the known keys yields a RunConfig or an AhmsaError.
+_KNOWN_KEYS = sorted(build_run_config(None, {}).flat_dict())
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=4)
+_PLAUSIBLE = st.one_of(st.integers(-2, 40), st.floats(-1, 2), st.booleans(),
+                       st.sampled_from(["none", "standardize"]),
+                       st.lists(st.integers(0, 3), max_size=4))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(values=st.dictionaries(st.sampled_from(_KNOWN_KEYS + ["model.bogus"]),
+                              st.one_of(_PLAUSIBLE, _JSON_VALUES), max_size=6))
+def test_build_run_config_arbitrary_values(tmp_path, values):
+    path = tmp_path / "fuzz.json"
+    path.write_text(json.dumps(values))
+    try:
+        run = build_run_config(str(path), {})
+    except AhmsaError:
+        return
+    run.validate()
 
 
 def test_confusion_csv_format():

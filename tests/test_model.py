@@ -1,9 +1,12 @@
 import json
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from ahmsa.errors import ConfigError, ValidationError
+from ahmsa.errors import AhmsaError, ConfigError, ValidationError
 from ahmsa.model import (
     ModelConfig,
     channel_attention,
@@ -13,6 +16,7 @@ from ahmsa.model import (
     init_model,
     load_checkpoint,
     msa_block,
+    parameter_count,
     patch_embed,
     save_checkpoint,
     spatial_attention,
@@ -63,6 +67,7 @@ def test_default_config_is_valid():
     (dict(n_layers=4), "top level"),
     (dict(heads=0), "must be positive"),
     (dict(channel_reduction=5), "channel_reduction"),
+    (dict(n_layers=10 ** 12, blocks_per_layer=(1,)), "= more than 4 so the top level"),
 ])
 def test_config_validation_names_invariant(overrides, fragment):
     from dataclasses import replace
@@ -96,6 +101,16 @@ def test_init_different_seed_differs():
         t.data.tobytes() != b.named_parameters()[name].data.tobytes()
         for name, t in a.named_parameters().items()
     )
+
+
+@pytest.mark.parametrize("config", [
+    ModelConfig(), tiny_config(), small_config(),
+    ModelConfig(patch_size=14, n_layers=2, blocks_per_layer=(1, 3), n_classes=5),
+])
+def test_parameter_count_matches_init_model(config):
+    params = init_model(config, seed=0)
+    assert parameter_count(config) == sum(
+        t.data.size for t in params.named_parameters().values())
 
 
 def test_init_default_shapes():
@@ -528,6 +543,90 @@ def test_checkpoint_rejects_mistyped_config(tmp_path, cfg, problem):
                                          json.dumps(cfg).encode())
     with pytest.raises(ValidationError, match=f"typed.ckpt.*{problem}"):
         load_checkpoint(path)
+
+
+def test_checkpoint_size_checked_before_allocating(tmp_path):
+    # 1.28 TiB of parameters: init_model would fail at once, so the check
+    # must come from the config's shapes alone
+    cfg = dict(FUZZ_CONFIG, embed_channels=1_200_000_000)
+    path = _checkpoint_with_config_block(tmp_path / "huge.ckpt", json.dumps(cfg).encode())
+    path.write_bytes(path.read_bytes() + bytes(60))
+    with pytest.raises(ValidationError, match="huge.ckpt: truncated: 60 parameter bytes"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_rejects_trailing_bytes(tmp_path):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, init_model(small_config(), seed=21))
+    path.write_bytes(path.read_bytes() + bytes(4))
+    with pytest.raises(ValidationError, match="m.ckpt: trailing bytes"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_checkpoint_rejects_non_finite_parameters(tmp_path, bad):
+    params = init_model(small_config(), seed=21)
+    params.head_b.data[1] = bad
+    path = tmp_path / "nf.ckpt"
+    save_checkpoint(path, params)
+    with pytest.raises(ValidationError, match="nf.ckpt: non-finite.*head.bias"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_rejects_deeply_nested_config(tmp_path):
+    path = _checkpoint_with_config_block(tmp_path / "deep.ckpt", b"[" * 100_000)
+    with pytest.raises(ValidationError, match="deep.ckpt: corrupt config block"):
+        load_checkpoint(path)
+
+
+# Any file content yields a model or an AhmsaError, never another exception.
+# The smallest valid network: 194 parameters, 776 payload bytes.
+FUZZ_CONFIG = {"h_flow": 4, "w_flow": 4, "patch_size": 2, "embed_channels": 2,
+               "heads": 1, "n_layers": 2, "downsample_factor": 2,
+               "blocks_per_layer": [1, 1], "n_classes": 2, "channel_reduction": 1,
+               "ffn_expansion": 1}
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=4)
+
+
+@st.composite
+def _checkpoint_like(draw):
+    """Mostly-valid header and config, so the fuzz reaches the payload checks."""
+    from ahmsa.model import CHECKPOINT_MAGIC, CHECKPOINT_VERSION
+    cfg = dict(FUZZ_CONFIG)
+    if draw(st.booleans()):
+        cfg[draw(st.sampled_from(sorted(cfg) + ["bogus"]))] = draw(JSON_VALUES)
+    block = json.dumps(cfg).encode()
+    cfg_len = len(block) + draw(st.sampled_from([0, 0, 0, -1, 5, 1 << 31]))
+    n = 4 * parameter_count(ModelConfig(**FUZZ_CONFIG))
+    kind = draw(st.sampled_from(["zeros", "random", "random", "cut", "long"]))
+    if kind == "zeros":
+        payload = bytes(n)
+    elif kind == "random":
+        payload = np.random.default_rng(draw(st.integers(0, 2 ** 32))).bytes(n)
+    else:
+        payload = bytes(n - 4 if kind == "cut" else n + 4)
+    magic = draw(st.sampled_from([CHECKPOINT_MAGIC, CHECKPOINT_MAGIC, b"AHMS"]))
+    version = draw(st.sampled_from([CHECKPOINT_VERSION, CHECKPOINT_VERSION, 0]))
+    return magic + bytes([version]) + struct.pack("<I", cfg_len) + block + payload
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(raw=st.one_of(st.binary(max_size=300), _checkpoint_like()))
+def test_load_checkpoint_arbitrary_bytes(tmp_path, raw):
+    path = tmp_path / "fuzz.ckpt"
+    path.write_bytes(raw)
+    try:
+        params = load_checkpoint(path)
+    except AhmsaError:
+        return
+    named = params.named_parameters()
+    assert sum(t.data.size for t in named.values()) == parameter_count(params.config)
+    assert all(np.isfinite(t.data).all() for t in named.values())
 
 
 def test_model_config_type_errors_are_config_errors():

@@ -5,6 +5,7 @@ import pytest
 
 from ahmsa.errors import DimensionError, UsageError, ValidationError
 from ahmsa.tensor import (
+    ADAM_GROUP_ELEMS,
     AdamState,
     LayerNormParams,
     Tensor,
@@ -28,6 +29,7 @@ from ahmsa.tensor import (
 )
 
 from gradcheck import numeric_gradient, relative_error
+from reference import per_tensor_adam_step
 
 
 def t64(data, requires_grad=False):
@@ -229,6 +231,26 @@ def test_layer_norm_axis_errors():
         layer_norm(x, _ln_params(3, dtype=np.float32), axis=1)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape,axis", [((5, 7), -1), ((3, 4, 9), 1), ((6, 2, 3), 0)])
+def test_layer_norm_matches_np_var_formula_bit_exact(dtype, shape, axis):
+    rng = np.random.default_rng(12)
+    x0 = (rng.standard_normal(shape) * 3 + 1).astype(dtype)
+    n = shape[axis]
+    params = LayerNormParams(Tensor(rng.uniform(0.5, 1.5, n).astype(dtype)),
+                             Tensor(rng.uniform(-0.5, 0.5, n).astype(dtype)))
+    bshape = [1] * len(shape)
+    bshape[axis] = n
+    mean = x0.mean(axis=axis, keepdims=True)
+    var = x0.var(axis=axis, keepdims=True)
+    inv = 1.0 / np.sqrt(var + np.asarray(params.epsilon, dtype=dtype))
+    xhat = (x0 - mean) * inv
+    ref = xhat * params.gamma.data.reshape(bshape) + params.beta.data.reshape(bshape)
+    out = layer_norm(Tensor(x0), params, axis=axis)
+    assert out.data.dtype == dtype
+    assert out.data.tobytes() == ref.tobytes()
+
+
 # -- adaptive_pool --------------------------------------------------------------
 
 
@@ -322,6 +344,34 @@ def test_sigmoid_extreme_inputs_finite():
     out = sigmoid(Tensor(np.array([-1e4, 1e4])))
     assert np.all(np.isfinite(out.data))
     np.testing.assert_allclose(out.data, [0.0, 1.0], atol=1e-12)
+
+
+def _masked_sigmoid(z):
+    """The boolean-mask gather/scatter formulation of the stable sigmoid."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sigmoid_matches_masked_formula_bit_exact(dtype):
+    rng = np.random.default_rng(5)
+    special = [0.0, -0.0, 1e-30, -1e-30, 88.0, -88.0, 750.0, -750.0, 1e30, -1e30,
+               np.inf, -np.inf]
+    for z in (np.array(special), rng.standard_normal(37) * 20,
+              rng.standard_normal((3, 5, 7)) * 4):
+        z = z.astype(dtype)
+        with np.errstate(over="ignore"):
+            ref = _masked_sigmoid(z)
+        x = Tensor(z, requires_grad=True)
+        out = sigmoid(x)
+        assert out.data.tobytes() == ref.tobytes()
+        g = rng.standard_normal(z.shape).astype(dtype)
+        tsum(mul(out, Tensor(g))).backward()
+        assert x.grad.tobytes() == (g * ref * (1.0 - ref)).tobytes()
 
 
 def test_softmax_uniform_input():
@@ -486,6 +536,49 @@ def test_backward_accumulates_across_uses():
     np.testing.assert_array_equal(x.grad, [2.0, 2.0])
 
 
+@pytest.mark.parametrize("reverse", [False, True])
+def test_backward_shared_consumers_get_exact_grads_without_mutation(reverse):
+    # u = 2x reaches the loss through u + v (whose backward hands u and v the
+    # same array), u + u, a reshape view, a transpose view and an avg pool
+    # whose gradient is a read-only broadcast view; the leaves a and b share
+    # one add.  Both term orders are run, so a shared array arrives both
+    # first and later.  Dyadic values keep every sum exact, so any write into
+    # a shared contribution shows.
+    rng = np.random.default_rng(8)
+    shape = (2, 3, 4, 4)
+    ws = [rng.integers(1, 8, s) / 4.0
+          for s in [shape, shape, (6, 16), (4, 4, 3, 2), shape, shape]]
+    x, y, a, b = (t64(rng.integers(-8, 8, shape) / 8.0, requires_grad=True)
+                  for _ in range(4))
+    w = [t64(arr) for arr in ws]
+    u, v = mul(x, 2.0), mul(y, 4.0)
+    terms = [
+        mul(u + v, w[0]),
+        mul(u + u, w[1]),
+        mul(reshape(u, (6, 16)), w[2]),
+        mul(transpose(u, (3, 2, 1, 0)), w[3]),
+        mul(adaptive_pool(u, 4, 4, "avg"), w[4]),
+        mul(a + b, w[5]),
+    ]
+    if reverse:
+        terms.reverse()
+    loss = tsum(terms[0])
+    for term in terms[1:]:
+        loss = loss + tsum(term)
+    snapshots = [(t, t.data.copy()) for t in [x, y, a, b, u, v, *w, *terms]]
+    loss.backward()
+    expected = 2 * (ws[0] + 2 * ws[1] + ws[2].reshape(shape)
+                    + ws[3].transpose(3, 2, 1, 0) + ws[4])
+    np.testing.assert_array_equal(x.grad, expected)
+    np.testing.assert_array_equal(y.grad, 4 * ws[0])
+    np.testing.assert_array_equal(a.grad, ws[5])
+    np.testing.assert_array_equal(b.grad, ws[5])
+    for tensor, before in snapshots:
+        np.testing.assert_array_equal(tensor.data, before)
+    a.grad[...] = 0.0  # leaf grads own their buffers
+    np.testing.assert_array_equal(b.grad, ws[5])
+
+
 def test_backward_rejects_non_scalar():
     x = Tensor(np.zeros(3), requires_grad=True)
     with pytest.raises(UsageError):
@@ -578,6 +671,86 @@ def test_adam_missing_gradient_raises():
 def test_adam_rejects_bad_hyperparameters():
     with pytest.raises(ValidationError):
         AdamState(lr=0.1, beta1=1.0)
+
+
+def _adam_problem(dtype):
+    """Parameters forming every group kind, and per-step gradients for them.
+
+    Sizes straddle ADAM_GROUP_ELEMS: a lone small group, a parameter larger
+    than a group, several small ones gathered together, and one whose
+    gradient is never touched (a lazily zero buffer).  One gradient arrives
+    as a transposed view, like conv2d's kernel gradient.
+    """
+    rng = np.random.default_rng(31)
+    big = ADAM_GROUP_ELEMS
+    shapes = {"a": (3,), "big": (big + 7,), "b": (5, 1), "c": (big // 4, 2),
+              "d": (big // 2,), "idle": (4,), "e": (10, 10)}
+    data = {n: rng.standard_normal(s).astype(dtype) for n, s in shapes.items()}
+
+    def grads(step):
+        g = {n: (rng.standard_normal(s) * 10.0 ** (step - 2)).astype(dtype)
+             for n, s in shapes.items() if n != "idle"}
+        g["e"] = np.ascontiguousarray(g["e"].T).T
+        return g
+
+    return data, [grads(step) for step in range(4)]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_adam_arena_matches_per_tensor_reference_bit_exact(dtype):
+    data, steps = _adam_problem(dtype)
+    params = {n: Tensor(a.copy(), requires_grad=True) for n, a in data.items()}
+    ref = {n: Tensor(a.copy(), requires_grad=True) for n, a in data.items()}
+    state = init_adam(params, lr=3e-3)
+    assert [names for _, _, names in state.groups] == [
+        ("a",), ("big",), ("b", "c"), ("d", "idle", "e")]
+    ref_m = {n: np.zeros_like(a) for n, a in data.items()}
+    ref_v = {n: np.zeros_like(a) for n, a in data.items()}
+    for t, grads in enumerate(steps, start=1):
+        for name, g in grads.items():
+            params[name].grad = g.copy()
+            ref[name].grad = g.copy()
+        adam_step(params, state)
+        per_tensor_adam_step(ref, ref_m, ref_v, t, lr=3e-3)
+        zero_grads(params)
+        zero_grads(ref)
+        for name, p in params.items():
+            assert p.data.dtype == dtype
+            assert p.data.tobytes() == ref[name].data.tobytes(), (t, name)
+        assert state.m.tobytes() == b"".join(m.tobytes() for m in ref_m.values())
+        assert state.v.tobytes() == b"".join(v.tobytes() for v in ref_v.values())
+    assert state.step_count == len(steps)
+
+
+def test_init_adam_binds_parameters_to_arena_views():
+    data, _ = _adam_problem(np.float32)
+    params = {n: Tensor(a.copy(), requires_grad=True) for n, a in data.items()}
+    state = init_adam(params, lr=0.1)
+    assert state.data.size == sum(a.size for a in data.values())
+    for name, p in params.items():
+        assert p.data.base is state.data
+        assert p.data.tobytes() == data[name].tobytes()
+
+
+def test_adam_rejects_parameter_rebound_after_init():
+    params = {"w": Tensor(np.ones(3), requires_grad=True),
+              "b": Tensor(np.zeros(2), requires_grad=True)}
+    state = init_adam(params, lr=0.1)
+    adam_step(params, state)
+    params["b"].data = np.zeros(2)
+    with pytest.raises(UsageError, match="'b'.*arena"):
+        adam_step(params, state)
+
+
+def test_adam_rejects_mixed_dtypes_and_missing_parameters():
+    with pytest.raises(UsageError, match="one parameter dtype"):
+        init_adam({"a": Tensor(np.ones(2, np.float32), requires_grad=True),
+                   "b": Tensor(np.ones(2, np.float64), requires_grad=True)}, lr=0.1)
+    params = {"a": Tensor(np.ones(2), requires_grad=True),
+              "b": Tensor(np.ones(2), requires_grad=True)}
+    state = init_adam(params, lr=0.1)
+    with pytest.raises(UsageError, match="'b'"):
+        adam_step({"a": params["a"]}, state)
 
 
 def test_zero_grads():

@@ -3,7 +3,8 @@ import pytest
 
 from ahmsa.data import ConfusionMatrix, gen_synthetic, uar, uf1
 from ahmsa.errors import ConfigError, ValidationError
-from ahmsa.model import ModelConfig, init_model, tiny_config
+from ahmsa.model import ModelConfig, forward, init_model, tiny_config
+from ahmsa.tensor import cross_entropy, zero_grads
 from ahmsa.train import (
     MetricsReport,
     TrainConfig,
@@ -12,6 +13,8 @@ from ahmsa.train import (
     run_loso,
     train_fold,
 )
+
+from reference import per_tensor_adam_step
 
 
 def small_model():
@@ -48,6 +51,30 @@ def test_train_config_validation_lists_problems():
     with pytest.raises(ConfigError) as err:
         TrainConfig(epochs=0, batch_size=0).validate()
     assert "epochs" in str(err.value) and "batch_size" in str(err.value)
+
+
+@pytest.mark.parametrize("field,value,problem", [
+    ("epochs", 2.5, "epochs must be an integer"),
+    ("epochs", True, "epochs must be an integer"),
+    ("batch_size", "3", "batch_size must be an integer"),
+    ("seed", 1.0, "seed must be an integer"),
+    ("seed", -1, "seed must be >= 0"),
+    ("log_every", None, "log_every must be an integer"),
+    ("learning_rate", float("nan"), "learning_rate must be a finite number"),
+    ("learning_rate", float("inf"), "learning_rate must be a finite number"),
+    ("learning_rate", 10 ** 400, "learning_rate must be a finite number"),
+    ("learning_rate", "1e-4", "learning_rate must be a finite number"),
+    ("shuffle", "yes", "shuffle must be true or false"),
+    ("shuffle", 1, "shuffle must be true or false"),
+])
+def test_train_config_rejects_wrong_types(field, value, problem):
+    with pytest.raises(ConfigError, match=problem):
+        TrainConfig(**{field: value}).validate()
+
+
+def test_train_config_accepts_numpy_scalars():
+    TrainConfig(epochs=np.int64(3), learning_rate=np.float32(1e-3),
+                seed=np.uint8(2)).validate()
 
 
 def test_desk_scale_overrides():
@@ -97,6 +124,39 @@ def test_train_loss_decreases_on_fixed_batch():
     _, history = train_fold(maps, labels, small_model(), tc)
     # single full batch per epoch: history is the fixed-batch loss curve
     assert all(b < a for a, b in zip(history, history[1:]))
+
+
+def test_train_fold_matches_per_tensor_adam_loop():
+    """train_fold's parameters equal, byte for byte, a reference loop whose
+    optimizer updates one parameter at a time (default config)."""
+    cfg = ModelConfig()
+    rng = np.random.default_rng(9)
+    maps = rng.standard_normal((40, 28, 28, 3)).astype(np.float32)
+    labels = rng.integers(0, 3, 40)
+    tc = TrainConfig(epochs=2, learning_rate=1e-3, batch_size=32, seed=4)
+    params, history = train_fold(maps, labels, cfg, tc)
+
+    ref = init_model(cfg, seed=tc.seed)
+    named = ref.named_parameters()
+    m = {n: np.zeros_like(t.data) for n, t in named.items()}
+    v = {n: np.zeros_like(t.data) for n, t in named.items()}
+    order_rng = np.random.default_rng(tc.seed)
+    step, ref_history = 0, []
+    for _ in range(tc.epochs):
+        order = order_rng.permutation(len(labels))
+        total = 0.0
+        for start in range(0, len(labels), tc.batch_size):
+            idx = order[start:start + tc.batch_size]
+            loss = cross_entropy(forward(maps[idx], ref), labels[idx])
+            loss.backward()
+            step += 1
+            per_tensor_adam_step(named, m, v, step, lr=tc.learning_rate)
+            zero_grads(named)
+            total += float(loss.data) * len(idx)
+        ref_history.append(total / len(labels))
+    assert history == ref_history
+    for name, t in params.named_parameters().items():
+        assert t.data.tobytes() == named[name].data.tobytes(), name
 
 
 def test_train_rejects_empty_split():
