@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from .data import CLASS_NAMES, DatasetManifest, gen_synthetic, load_manifest
-from .errors import AhmsaError, ConfigError, ValidationError, is_int
+from .errors import AhmsaError, ConfigError, ValidationError, is_finite_real, is_int
 from .model import ModelConfig, save_checkpoint
 from .optflow import (
     TVL1Params,
@@ -115,7 +115,7 @@ def build_run_config(config_path: str | None,
             raise ConfigError(f"config file not found: {path}")
         try:
             loaded = json.loads(path.read_text(encoding="utf-8"))
-        except (json.JSONDecodeError, RecursionError) as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
             raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ConfigError(f"{path}: top level must be an object of dotted keys")
@@ -255,17 +255,50 @@ def confusion_to_svg(counts, class_names=CLASS_NAMES) -> str:
     return "\n".join(parts) + "\n"
 
 
-def _write_report_files(out_dir: Path, payload: dict) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    metrics_path = out_dir / "metrics.json"
-    metrics_path.write_text(
-        json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+def _check_report(payload, source) -> None:
+    """Raise ``ValidationError`` unless ``payload`` is a metrics report whose
+    scores are all finite numbers and whose pooled confusion matrix has one
+    row and one column of non-negative integers per class."""
+    def fail(problem: str):
+        raise ValidationError(f"{source}: not a metrics report: {problem}")
+
+    if not isinstance(payload, dict) or not isinstance(payload.get("pooled"), dict):
+        fail("no 'pooled' block")
+    per_database = payload.get("per_database", {})
+    if not (isinstance(per_database, dict)
+            and all(isinstance(block, dict) for block in per_database.values())):
+        fail("'per_database' must map database names to score blocks")
+    blocks = {"pooled": payload["pooled"],
+              **{f"per_database.{db}": block for db, block in per_database.items()}}
+    for name, block in blocks.items():
+        for score in ("uf1", "uar"):
+            if not is_finite_real(block.get(score)):
+                fail(f"{name}.{score} must be a finite number, got {block.get(score)!r}")
+    counts = payload["pooled"].get("confusion")
+    n = len(CLASS_NAMES)
+    if not (isinstance(counts, list) and len(counts) == n
+            and all(isinstance(row, list) and len(row) == n
+                    and all(is_int(v) and v >= 0 for v in row) for row in counts)):
+        fail(f"pooled.confusion must be a {n}x{n} matrix of non-negative integers")
+
+
+def _write_figures(out_dir: Path, payload: dict, source) -> None:
+    """The pooled confusion matrix as CSV and SVG, after checking the report."""
+    _check_report(payload, source)
     counts = payload["pooled"]["confusion"]
+    out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "confusion_pooled.csv").write_text(confusion_to_csv(counts),
                                                   encoding="utf-8")
     (out_dir / "confusion_pooled.svg").write_text(confusion_to_svg(counts),
                                                   encoding="utf-8")
+
+
+def _write_report_files(out_dir: Path, payload: dict) -> None:
+    metrics_path = out_dir / "metrics.json"
+    _write_figures(out_dir, payload, metrics_path)
+    metrics_path.write_text(
+        json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8"
+    )
     print(f"wrote {metrics_path}")
 
 
@@ -308,7 +341,12 @@ def cmd_extract_flow(args) -> int:
 
 
 def _parallel_folds(args) -> int:
+    """--parallel-folds, by default the CPUs this process may use, capped by
+    AHMSA_THREADS (``run_loso`` caps it by the fold count)."""
     requested = args.parallel_folds
+    if requested is None:
+        requested = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                     else os.cpu_count() or 1)
     env_cap = os.environ.get(THREAD_ENV_VAR)
     if env_cap is not None:
         try:
@@ -355,21 +393,16 @@ def cmd_report(args) -> int:
         raise ValidationError(f"metrics file not found: {path}")
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
-        pooled = payload["pooled"]
-        pooled["uf1"], pooled["uar"], pooled["confusion"]
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ValidationError(f"{path}: not a metrics report: {exc}") from exc
+    _check_report(payload, path)
+    pooled = payload["pooled"]
     print(f"pooled: UF1 {pooled['uf1']:.4f}  UAR {pooled['uar']:.4f}")
     for db, block in sorted(payload.get("per_database", {}).items()):
         print(f"{db}: UF1 {block['uf1']:.4f}  UAR {block['uar']:.4f}")
     if args.out_dir:
-        out_dir = Path(args.out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "confusion_pooled.csv").write_text(
-            confusion_to_csv(pooled["confusion"]), encoding="utf-8")
-        (out_dir / "confusion_pooled.svg").write_text(
-            confusion_to_svg(pooled["confusion"]), encoding="utf-8")
-        print(f"wrote figures to {out_dir}")
+        _write_figures(Path(args.out_dir), payload, path)
+        print(f"wrote figures to {args.out_dir}")
     return 0
 
 
@@ -450,7 +483,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--extract", action="store_true",
                    help="compute feature maps inline instead of reading files")
     p.add_argument("--out-dir", default=".")
-    p.add_argument("--parallel-folds", type=int, default=1)
+    p.add_argument("--parallel-folds", type=int,
+                   help="folds trained at once in forked worker processes "
+                        f"(default: the usable CPUs; {THREAD_ENV_VAR} caps it)")
     _add_config_arguments(p)
     p.set_defaults(func=cmd_loso)
 

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 from scipy import ndimage
 
-from .errors import ValidationError
+from .errors import ValidationError, is_int
 from .optflow import LandmarkSet, write_pgm
 
 CLASS_NAMES = ("negative", "positive", "surprise")
@@ -96,7 +96,10 @@ def load_manifest(path, check_paths: bool = True) -> DatasetManifest:
     if not path.is_file():
         raise ValidationError(f"manifest not found: {path}")
     base = path.parent
-    lines = path.read_text(encoding="utf-8").splitlines()
+    try:
+        lines = path.read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text: {exc}") from exc
     if not lines:
         raise ValidationError(f"{path}: empty file")
     if lines[0].strip() != MANIFEST_HEADER:
@@ -359,6 +362,8 @@ def gen_synthetic(out_dir, seed: int = 42, n_subjects: int = 6,
     landmark regions.  Emits PGM pairs plus a manifest CSV; fully determined
     by the seed.  Returns the loaded manifest and the manifest path.
     """
+    if not is_int(seed) or seed < 0:
+        raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
     if n_subjects < 2:
         raise ValidationError(f"need at least 2 subjects for LOSO, got {n_subjects}")
     if samples_per_subject < 3 or samples_per_subject % N_CLASSES != 0:

@@ -15,7 +15,6 @@ drown the comparison).  Output dtype follows the inputs.
 from __future__ import annotations
 
 import math
-import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -25,22 +24,21 @@ from .errors import DimensionError, UsageError, ValidationError
 
 DEFAULT_DTYPE = np.float32
 
-_state = threading.local()
-
-
-def _grad_enabled() -> bool:
-    return getattr(_state, "grad_enabled", True)
+# One flag per process: the tape never runs in threads (LOSO folds run in
+# forked processes, each with its own copy).
+_grad_enabled = True
 
 
 @contextmanager
 def no_grad():
-    """Disable tape recording inside the block (thread-local)."""
-    previous = _grad_enabled()
-    _state.grad_enabled = False
+    """Disable tape recording inside the block; nests, and restores on exit."""
+    global _grad_enabled
+    previous = _grad_enabled
+    _grad_enabled = False
     try:
         yield
     finally:
-        _state.grad_enabled = previous
+        _grad_enabled = previous
 
 
 class Tensor:
@@ -191,7 +189,7 @@ def _coerce(value, dtype) -> Tensor:
 
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
     """Wrap an op result, attaching tape bookkeeping when recording."""
-    if _grad_enabled() and any(p.requires_grad for p in parents):
+    if _grad_enabled and any(p.requires_grad for p in parents):
         out = Tensor(data, requires_grad=True, dtype=data.dtype)
         out._parents = parents
         out._backward = backward

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import shutil
 from pathlib import Path
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import ahmsa.train
 from ahmsa.cli import build_run_config, confusion_to_csv, confusion_to_svg, main
 from ahmsa.errors import AhmsaError, ConfigError
 
@@ -94,6 +96,12 @@ def test_gen_synthetic_single_subject_exit_2(tmp_path, capsys):
     assert run_cli("gen-synthetic", "--out-dir", str(tmp_path),
                    "--subjects", "1") == 2
     assert "2 subjects" in capsys.readouterr().err
+
+
+def test_gen_synthetic_negative_seed_exit_2(tmp_path, capsys):
+    assert run_cli("gen-synthetic", "--out-dir", str(tmp_path), "--seed", "-1") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "seed" in err and "Traceback" not in err
 
 
 # -- extract-flow -----------------------------------------------------------------
@@ -259,18 +267,42 @@ def test_loso_determinism_byte_identical(dataset, tmp_path, capsys):
 
 
 def test_loso_parallel_folds_match_sequential(dataset, tmp_path, capsys, monkeypatch):
+    """Sequential folds, two forked workers, and the default (the usable CPUs,
+    forked when there are two or more) write the same bytes."""
     cfg = write_config(tmp_path, {"train.epochs": 8, "train.batch_size": 4,
                                   "train.learning_rate": 1e-3})
     results = []
-    for sub, workers in (("seq", "1"), ("par", "2")):
+    for sub, workers in (("seq", "1"), ("par", "2"), ("default", None)):
         out_dir = tmp_path / sub
-        monkeypatch.setenv("AHMSA_THREADS", workers)
+        flag = []
+        if workers is None:
+            monkeypatch.delenv("AHMSA_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("AHMSA_THREADS", workers)
+            flag = ["--parallel-folds", workers]
         assert run_cli("loso", "--manifest", str(dataset / "manifest.csv"),
                        "--extract", "--out-dir", str(out_dir),
-                       "--config", str(cfg), "--parallel-folds", workers) == 0
+                       "--config", str(cfg), *flag) == 0
         results.append((out_dir / "metrics.json").read_bytes())
     capsys.readouterr()
-    assert results[0] == results[1]
+    assert results[0] == results[1] == results[2]
+
+
+@pytest.mark.skipif(not ahmsa.train.openblas_thread_controls(),
+                    reason="no OpenBLAS thread setter: folds run in-process")
+def test_loso_worker_death_exit_1(dataset, tmp_path, capsys, monkeypatch):
+    def die(fold_index, subject, *args):
+        os._exit(7)
+
+    monkeypatch.setattr(ahmsa.train, "_run_one_fold", die)
+    monkeypatch.delenv("AHMSA_THREADS", raising=False)
+    code = run_cli("loso", "--manifest", str(dataset / "manifest.csv"),
+                   "--extract", "--out-dir", str(tmp_path / "o"),
+                   "--config", str(write_config(tmp_path)), "--parallel-folds", "2")
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "error: fold 's0" in err and "exit code 7" in err
+    assert "Traceback" not in err
 
 
 # -- train -----------------------------------------------------------------------------
@@ -314,6 +346,117 @@ def test_report_rejects_garbage(tmp_path, capsys):
     bad.write_text("{\"nope\": 1}")
     assert run_cli("report", "--metrics", str(bad)) == 1
     capsys.readouterr()
+
+
+GOOD_POOLED = {"uf1": 0.5, "uar": 0.5, "confusion": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}
+
+
+@pytest.mark.parametrize("pooled,problem", [
+    ({"confusion": "abc"}, "pooled.confusion must be a 3x3 matrix"),
+    ({"confusion": [[1, 0], [0, 1]]}, "pooled.confusion must be a 3x3 matrix"),
+    ({"confusion": [[1, 0, 0], [0, -1, 0], [0, 0, 1]]}, "non-negative integers"),
+    ({"confusion": [[1, 0, 0], [0, 1.5, 0], [0, 0, 1]]}, "non-negative integers"),
+    ({"uf1": "x"}, "pooled.uf1 must be a finite number"),
+    ({"uar": None}, "pooled.uar must be a finite number"),
+])
+@pytest.mark.parametrize("out_dir", [False, True])
+def test_report_rejects_malformed_scores_and_matrix(tmp_path, capsys, pooled, problem,
+                                                    out_dir):
+    path = tmp_path / "metrics.json"
+    path.write_text(json.dumps({"pooled": {**GOOD_POOLED, **pooled}}))
+    figures = ["--out-dir", str(tmp_path / "figs")] if out_dir else []
+    assert run_cli("report", "--metrics", str(path), *figures) == 1
+    captured = capsys.readouterr()
+    assert problem in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "figs").exists()
+
+
+def test_report_rejects_malformed_per_database_score(tmp_path, capsys):
+    path = tmp_path / "metrics.json"
+    path.write_text(json.dumps({"pooled": GOOD_POOLED,
+                                "per_database": {"casme": {"uf1": 0.5, "uar": "x"}}}))
+    assert run_cli("report", "--metrics", str(path)) == 1
+    assert "per_database.casme.uar must be a finite number" in capsys.readouterr().err
+
+
+# -- malformed input, every subcommand ------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def malformed(dataset, tmp_path_factory):
+    """Paths of malformed input files next to the valid ``dataset``."""
+    root = tmp_path_factory.mktemp("malformed")
+    files = {"good": dataset / "manifest.csv", "out": root / "out",
+             "binary": root / "binary.bin", "empty": root / "empty.txt",
+             "nested": root / "nested.json"}
+    files["binary"].write_bytes(b"\x80\xff\x00garbage\xfe")
+    files["empty"].write_bytes(b"")
+    files["nested"].write_text("[" * 100000 + "]" * 100000)
+    manifest = (dataset / "manifest.csv").read_text()
+    header, first_row = manifest.splitlines()[:2]
+    variants = {
+        "wrong_header": "database,subject\n" + first_row + "\n",
+        "header_only": header + "\n",
+        "short_row": header + "\n" + first_row.rsplit(",", 1)[0] + "\n",
+        "missing_images": header + "\n" + first_row.replace(".pgm", "_gone.pgm") + "\n",
+    }
+    for name, text in variants.items():
+        files[name] = root / f"{name}.csv"
+        files[name].write_text(text)
+    shutil.copytree(dataset / "images", root / "images")
+    pgm = sorted((root / "images").glob("*.pgm"))[0]
+    pgm.write_bytes(pgm.read_bytes()[:-50])
+    files["truncated_pgm"] = root / "truncated_pgm.csv"
+    files["truncated_pgm"].write_text(manifest)
+    files["flow"] = root / "flow"
+    assert run_cli("extract-flow", "--manifest", str(dataset / "manifest.csv"),
+                   "--out-dir", str(files["flow"]),
+                   "--config", str(write_config(root))) == 0
+    flow = sorted(files["flow"].glob("*.flow"))[0]
+    flow.write_bytes(flow.read_bytes()[:-10])
+    files["config"] = write_config(root)
+    files["not_object"] = root / "list.json"
+    files["not_object"].write_text("[1, 2]")
+    files["bad_metrics"] = root / "metrics.json"
+    files["bad_metrics"].write_text(json.dumps({"pooled": {**GOOD_POOLED,
+                                                           "confusion": "abc"}}))
+    return files
+
+
+_MANIFESTS = ["binary", "empty", "wrong_header", "header_only", "short_row",
+              "missing_images"]
+_CONFIGS = ["binary", "empty", "nested", "not_object"]
+_SWEEP = (
+    [["gen-synthetic", "--out-dir", "{out}", *extra] for extra in (
+        ["--seed", "-1"], ["--seed", "x"], ["--subjects", "1"],
+        ["--samples-per-subject", "4"], ["--image-size", "8"])]
+    + [["extract-flow", "--manifest", "{%s}" % m, "--out-dir", "{out}"]
+       for m in _MANIFESTS + ["truncated_pgm"]]
+    + [["extract-flow", "--manifest", "{good}", "--out-dir", "{out}", "--config",
+        "{%s}" % c] for c in _CONFIGS]
+    + [[cmd, "--manifest", "{%s}" % m, "--extract", "--config", "{config}",
+        *(["--out-dir", "{out}"] if cmd == "loso" else ["--out", "{out}/m.ckpt"])]
+       for cmd in ("loso", "train") for m in _MANIFESTS + ["truncated_pgm"]]
+    + [[cmd, "--manifest", "{good}", "--flow-dir", "{flow}", "--config", "{config}"]
+       for cmd in ("loso", "train")]
+    + [[cmd, "--manifest", "{good}", "--extract", "--config", "{%s}" % c]
+       for cmd in ("loso", "train") for c in _CONFIGS]
+    + [["report", "--metrics", "{%s}" % m] for m in
+       ("binary", "empty", "nested", "not_object", "bad_metrics", "header_only")]
+)
+
+
+@pytest.mark.parametrize("argv", _SWEEP, ids=lambda argv: " ".join(argv))
+def test_every_subcommand_fails_cleanly_on_malformed_input(malformed, capsys, argv):
+    """Exit 1 or 2 with a one-line error, never an uncaught exception."""
+    files = {name: str(path) for name, path in malformed.items()}
+    try:
+        code = main([arg.format(**files) for arg in argv])
+    except SystemExit as exc:  # argparse usage errors
+        code = exc.code
+    assert code in (1, 2)
+    assert "Traceback" not in capsys.readouterr().err
 
 
 # -- config machinery ---------------------------------------------------------------------

@@ -3,6 +3,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ahmsa.data import (
     MANIFEST_HEADER,
@@ -15,7 +17,7 @@ from ahmsa.data import (
     uar,
     uf1,
 )
-from ahmsa.errors import ValidationError
+from ahmsa.errors import AhmsaError, ValidationError
 
 
 # -- map_emotion -------------------------------------------------------------
@@ -126,6 +128,47 @@ def test_load_manifest_aggregates_problems(tmp_path):
         load_manifest(_write(tmp_path, rows), check_paths=False)
     msg = str(err.value)
     assert "line 2" in msg and "line 3" in msg
+
+
+# Any manifest content yields a manifest or an AhmsaError, never another exception.
+
+FUZZ = settings(max_examples=150, deadline=None, derandomize=True, database=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+_FIELD = st.one_of(st.sampled_from(["10", "-3", "x", "", " 7 ", "1_0", "happy",
+                                    "Surprise", "o.pgm", "/abs/a.pgm", "s01"]),
+                   st.text(max_size=6))
+
+
+@st.composite
+def _manifest_like(draw):
+    """The real header over rows of mostly the right field count, so the fuzz
+    reaches the coordinate, label, duplicate and path checks."""
+    header = draw(st.sampled_from([MANIFEST_HEADER, MANIFEST_HEADER, "database,subject"]))
+    rows = []
+    for _ in range(draw(st.integers(0, 4))):
+        n = draw(st.sampled_from([16, 16, 16, 15, 17]))
+        if n == 16 and draw(st.booleans()):
+            fields = _row(subject=draw(_FIELD), sample=draw(_FIELD),
+                          emotion=draw(_FIELD)).split(",")
+        else:
+            fields = [draw(_FIELD) for _ in range(n)]
+        rows.append(",".join(fields))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\n\n"]))
+    return (header + newline + newline.join(rows)).encode("utf-8")
+
+
+@FUZZ
+@given(raw=st.one_of(st.binary(max_size=300), _manifest_like()))
+def test_load_manifest_arbitrary_bytes(tmp_path, raw):
+    path = tmp_path / "manifest.csv"
+    path.write_bytes(raw)
+    for check_paths in (False, True):
+        try:
+            manifest = load_manifest(path, check_paths=check_paths)
+        except AhmsaError:
+            continue
+        assert isinstance(manifest, DatasetManifest) and len(manifest) >= 1
 
 
 # -- loso_splits ------------------------------------------------------------------

@@ -593,6 +593,23 @@ def test_no_grad_suppresses_tape():
     assert y._parents == ()
 
 
+def test_no_grad_nests_and_restores():
+    x = Tensor(np.ones(3), requires_grad=True)
+
+    def records() -> bool:
+        return mul(x, x).requires_grad
+
+    with no_grad():
+        with no_grad():
+            assert not records()
+        assert not records()  # leaving the inner block keeps recording off
+    assert records()
+    with pytest.raises(RuntimeError):
+        with no_grad():
+            raise RuntimeError
+    assert records()  # restored after an exception too
+
+
 def test_reshape_transpose_gradients():
     rng = np.random.default_rng(37)
     x0 = rng.uniform(-1, 1, (2, 3, 4))

@@ -1,15 +1,23 @@
+import logging
+import os
+import time
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import ahmsa.train as train_module
 from ahmsa.data import ConfusionMatrix, gen_synthetic, uar, uf1
-from ahmsa.errors import ConfigError, ValidationError
+from ahmsa.errors import AhmsaError, ConfigError, TrainingDivergedError, ValidationError
 from ahmsa.model import ModelConfig, forward, init_model, tiny_config
 from ahmsa.tensor import cross_entropy, zero_grads
 from ahmsa.train import (
+    FoldResult,
     MetricsReport,
     TrainConfig,
     desk_scale_config,
     evaluate,
+    openblas_thread_controls,
     run_loso,
     train_fold,
 )
@@ -264,13 +272,134 @@ def test_run_loso_metrics_recomputable(synthetic_setup):
 
 
 def test_run_loso_parallel_equals_sequential(synthetic_setup):
+    """Forked workers, fewer than the folds (so a worker trains a second
+    fold) or one per fold, give the sequential report."""
     manifest, maps = synthetic_setup
     sequential = run_loso(manifest, maps, small_model(), FAST_TRAIN,
                           parallel_folds=1)
-    parallel = run_loso(manifest, maps, small_model(), FAST_TRAIN,
-                        parallel_folds=3)
-    assert sequential.pooled == parallel.pooled
+    for workers in (2, 3):
+        parallel = run_loso(manifest, maps, small_model(), FAST_TRAIN,
+                            parallel_folds=workers)
+        assert sequential.pooled == parallel.pooled
+        assert sequential.to_json_dict() == parallel.to_json_dict()
+
+
+# -- forked fold workers ------------------------------------------------------------
+# The workers are forked, so a monkeypatched module attribute is what they run.
+# Without an OpenBLAS thread setter the folds run in this process instead.
+
+forks = pytest.mark.skipif(not openblas_thread_controls(),
+                           reason="no OpenBLAS thread setter: folds run in-process")
+
+
+def test_run_loso_parallel_records_diverged_fold(synthetic_setup, monkeypatch):
+    manifest, maps = synthetic_setup
+    real_train_fold = train_module.train_fold
+    diverging_seed = FAST_TRAIN.seed ^ 1
+
+    def train_fold(maps, labels, model_config, train_config):
+        if train_config.seed == diverging_seed:
+            raise TrainingDivergedError(3, 0, float("nan"))
+        return real_train_fold(maps, labels, model_config, train_config)
+
+    monkeypatch.setattr(train_module, "train_fold", train_fold)
+    sequential = run_loso(manifest, maps, small_model(), FAST_TRAIN)
+    parallel = run_loso(manifest, maps, small_model(), FAST_TRAIN, parallel_folds=2)
+    assert list(parallel.failed_folds) == [manifest.subjects[1]]
     assert sequential.to_json_dict() == parallel.to_json_dict()
+
+
+def _fold_runner(action):
+    """A stand-in for ``_run_one_fold`` that calls ``action(fold_index)``."""
+    def run_one_fold(fold_index, subject, *args):
+        return action(fold_index, subject)
+    return run_one_fold
+
+
+@forks
+def test_run_loso_worker_death_names_fold(synthetic_setup, monkeypatch):
+    manifest, maps = synthetic_setup
+
+    def die_on_fold_1(fold_index, subject):
+        if fold_index == 1:
+            os._exit(3)
+        time.sleep(60)  # the parent must not wait for the surviving workers
+
+    monkeypatch.setattr(train_module, "_run_one_fold", _fold_runner(die_on_fold_1))
+    started = time.monotonic()
+    with pytest.raises(AhmsaError, match=f"fold '{manifest.subjects[1]}'.*exit code 3"):
+        run_loso(manifest, maps, small_model(), FAST_TRAIN, parallel_folds=3)
+    assert time.monotonic() - started < 10
+
+
+@forks
+def test_run_loso_worker_error_names_fold(synthetic_setup, monkeypatch):
+    manifest, maps = synthetic_setup
+
+    def fail(fold_index, subject):
+        if fold_index == 1:
+            raise RuntimeError(f"boom in {subject}")
+        return FoldResult(subject=subject, matrix=ConfusionMatrix(), history=[],
+                          predictions=[])
+
+    monkeypatch.setattr(train_module, "_run_one_fold", _fold_runner(fail))
+    with pytest.raises(AhmsaError, match=f"fold '{manifest.subjects[1]}'.*"
+                                         f"RuntimeError: boom in {manifest.subjects[1]}"):
+        run_loso(manifest, maps, small_model(), FAST_TRAIN, parallel_folds=2)
+
+
+class _Records(logging.Handler):
+    def __init__(self):
+        super().__init__(logging.INFO)
+        self.records = []
+
+    def emit(self, record):
+        self.records.append(record)
+
+
+@forks
+def test_run_loso_worker_records_reach_parent_handlers(synthetic_setup):
+    manifest, maps = synthetic_setup
+    config = replace(FAST_TRAIN, epochs=4, log_every=1)
+    handler = _Records()
+    logger = logging.getLogger("ahmsa.train")
+    saved = logger.level, logger.propagate
+    logger.addHandler(handler)
+    logger.setLevel(logging.INFO)
+    logger.propagate = False
+    try:
+        run_loso(manifest, maps, small_model(), config, parallel_folds=2)
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(saved[0])
+        logger.propagate = saved[1]
+    by_worker = {}
+    for record in handler.records:
+        assert record.name == "ahmsa.train" and len(record.args) == 3
+        by_worker.setdefault(record.process, []).append(record.args[0])
+    assert len(by_worker) == 2 and os.getpid() not in by_worker
+    # each worker trains whole folds in turn: epochs 1..4, then 1..4 again
+    epochs = list(range(1, config.epochs + 1))
+    assert sorted(len(seen) for seen in by_worker.values()) == [4, 8]
+    for seen in by_worker.values():
+        assert seen == epochs * (len(seen) // config.epochs)
+
+
+@forks
+def test_run_loso_workers_run_one_blas_thread(synthetic_setup, monkeypatch):
+    controls = openblas_thread_controls()
+    manifest, maps = synthetic_setup
+    parent_threads = [get() for _, get in controls]
+
+    def report_threads(fold_index, subject):
+        threads = [float(get()) for _, get in openblas_thread_controls()]
+        return FoldResult(subject=subject, matrix=ConfusionMatrix(), history=threads,
+                          predictions=[])
+
+    monkeypatch.setattr(train_module, "_run_one_fold", _fold_runner(report_threads))
+    report = run_loso(manifest, maps, small_model(), FAST_TRAIN, parallel_folds=2)
+    assert report.history == {s: [1.0] * len(controls) for s in manifest.subjects}
+    assert [get() for _, get in controls] == parent_threads
 
 
 def test_run_loso_order_invariance(tmp_path):
