@@ -347,24 +347,29 @@ def _parallel_folds(args) -> int:
     if requested is None:
         requested = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                      else os.cpu_count() or 1)
+    elif requested < 1:
+        raise ConfigError(f"--parallel-folds must be positive, got {requested}")
     env_cap = os.environ.get(THREAD_ENV_VAR)
     if env_cap is not None:
         try:
-            requested = min(requested, max(1, int(env_cap)))
+            cap = int(env_cap)
         except ValueError:
+            cap = 0  # reported below, with the non-positive values
+        if cap < 1:
             raise ConfigError(
-                f"{THREAD_ENV_VAR} must be an integer, got {env_cap!r}"
-            ) from None
-    return max(1, requested)
+                f"{THREAD_ENV_VAR} must be a positive integer, got {env_cap!r}")
+        requested = min(requested, cap)
+    return requested
 
 
 def cmd_loso(args) -> int:
     run = build_run_config(args.config, _collect_overrides(args))
+    parallel_folds = _parallel_folds(args)
     manifest = load_manifest(args.manifest)
     flow_dir = Path(args.flow_dir) if args.flow_dir else None
     maps = load_feature_maps(manifest, flow_dir, args.extract, run)
     report = run_loso(manifest, maps, run.model, run.train,
-                      parallel_folds=_parallel_folds(args))
+                      parallel_folds=parallel_folds)
     payload = report.to_json_dict()
     payload["config"] = run.flat_dict()
     _write_report_files(Path(args.out_dir), payload)
@@ -517,6 +522,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except (AhmsaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

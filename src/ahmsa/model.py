@@ -25,6 +25,12 @@ from .errors import ConfigError, DimensionError, ValidationError, is_int
 from .tensor import (
     LayerNormParams,
     Tensor,
+    _make,
+    _normalize,
+    _normalize_grads,
+    _project,
+    _project_grads,
+    _sigmoid,
     adaptive_pool,
     conv2d,
     layer_norm,
@@ -361,11 +367,76 @@ def feed_forward(x: Tensor, blk: BlockParams) -> Tensor:
     return linear(relu(linear(x, blk.ff_w1, blk.ff_b1)), blk.ff_w2, blk.ff_b2)
 
 
+def _single_position_block(x: Tensor, blk: BlockParams) -> Tensor:
+    """``msa_block`` on a 1x1 grid, recorded as one tape node.
+
+    It runs the numpy operations of the composed block in the same order:
+    channel attention's MLP once, because both of its pools are the identity
+    (``s + s`` and the doubled weight gradients are exact), and spatial
+    attention as ``o(v(.))``.  The backward adds every tensor's gradient
+    contributions in the order the tape's reverse topological walk adds them
+    for the composed block, so logits and gradients are bit-identical.
+    """
+    x0 = np.transpose(x.data, (0, 2, 3, 1))  # [B,1,1,C]
+    l1, xhat1, inv1, gb1 = _normalize(x0, blk.ln_ca, 3)
+    h, rows_l1, k_h = _project(l1, blk.ca_w1.data, blk.ca_b1.data)
+    hr = np.maximum(h, 0.0)
+    s, rows_hr, k_s = _project(hr, blk.ca_w2.data, blk.ca_b2.data)
+    gate = _sigmoid(s + s)
+    x1 = x0 + l1 * gate
+    l2, xhat2, inv2, gb2 = _normalize(x1, blk.ln_sa, 3)
+    v, rows_l2, k_v = _project(l2, blk.v_w.data, blk.v_b.data)
+    o, rows_v, k_o = _project(v, blk.o_w.data, blk.o_b.data)
+    x2 = x1 + o
+    l3, xhat3, inv3, gb3 = _normalize(x2, blk.ln_ff, 3)
+    f, rows_l3, k_f = _project(l3, blk.ff_w1.data, blk.ff_b1.data)
+    fr = np.maximum(f, 0.0)
+    f2, rows_fr, k_f2 = _project(fr, blk.ff_w2.data, blk.ff_b2.data)
+    parents = (x, blk.ln_ca.gamma, blk.ln_ca.beta, blk.ca_w1, blk.ca_b1,
+               blk.ca_w2, blk.ca_b2, blk.ln_sa.gamma, blk.ln_sa.beta,
+               blk.v_w, blk.v_b, blk.o_w, blk.o_b, blk.ln_ff.gamma, blk.ln_ff.beta,
+               blk.ff_w1, blk.ff_b1, blk.ff_w2, blk.ff_b2)
+
+    def backward(g):
+        g3 = np.transpose(g, (0, 2, 3, 1))
+        # feed-forward: x2 collects g3 and the norm's input gradient
+        gfr, gw_f2, gb_f2 = _project_grads(g3, rows_fr, k_f2, fr.shape,
+                                           blk.ff_w2.shape)
+        gl3, gw_f, gb_f = _project_grads(gfr * (f > 0.0), rows_l3, k_f, l3.shape,
+                                         blk.ff_w1.shape)
+        dx2, dgamma3, dbeta3 = _normalize_grads(gl3, xhat3, inv3, gb3, 3)
+        g2 = g3 + dx2
+        # spatial attention: o(v(.))
+        gv, gw_o, gb_o = _project_grads(g2, rows_v, k_o, v.shape, blk.o_w.shape)
+        gl2, gw_v, gb_v = _project_grads(gv, rows_l2, k_v, l2.shape, blk.v_w.shape)
+        dx1, dgamma2, dbeta2 = _normalize_grads(gl2, xhat2, inv2, gb2, 3)
+        g1 = g2 + dx1
+        # channel attention: both MLP branches return the same arrays; l1
+        # collects the gate product's term first, then one per branch
+        ggate = g1 * l1
+        gs = ggate * gate * (1.0 - gate)
+        ghr, gw_s, gb_s = _project_grads(gs, rows_hr, k_s, hr.shape, blk.ca_w2.shape)
+        gl1_branch, gw_h, gb_h = _project_grads(ghr * (h > 0.0), rows_l1, k_h,
+                                                l1.shape, blk.ca_w1.shape)
+        gl1 = g1 * gate + gl1_branch
+        gl1 += gl1_branch
+        dx0, dgamma1, dbeta1 = _normalize_grads(gl1, xhat1, inv1, gb1, 3)
+        return (np.transpose(g1 + dx0, (0, 3, 1, 2)), dgamma1, dbeta1,
+                gw_h + gw_h, gb_h + gb_h, gw_s + gw_s, gb_s + gb_s,
+                dgamma2, dbeta2, gw_v, gb_v, gw_o, gb_o,
+                dgamma3, dbeta3, gw_f, gb_f, gw_f2, gb_f2)
+
+    return _make(np.transpose(x2 + f2, (0, 3, 1, 2)), parents, backward, fresh=True)
+
+
 def msa_block(x: Tensor, blk: BlockParams, heads: int) -> Tensor:
     """Pre-norm residual composition of the three sub-modules.
 
     Takes and returns [B,C,H,W]; the norms and sub-modules run channels-last.
+    A 1x1 grid runs as one fused tape node (``_single_position_block``).
     """
+    if x.shape[2] * x.shape[3] == 1:
+        return _single_position_block(x, blk)
     x = transpose(x, (0, 2, 3, 1))
     x = x + channel_attention(layer_norm(x, blk.ln_ca), blk)
     x = x + spatial_attention(layer_norm(x, blk.ln_sa), blk, heads)

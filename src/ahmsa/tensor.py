@@ -50,7 +50,7 @@ class Tensor:
     tensors you created directly, e.g. parameters and inputs).
     """
 
-    __slots__ = ("data", "_grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "_grad", "requires_grad", "_parents", "_backward", "_fresh")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data)
@@ -63,6 +63,7 @@ class Tensor:
         self._grad: np.ndarray | None = None
         self._parents: tuple[Tensor, ...] = ()
         self._backward = None
+        self._fresh = False
 
     @property
     def grad(self) -> np.ndarray | None:
@@ -107,9 +108,11 @@ class Tensor:
             return
         order = self._topological_order()
         # Per-call accumulation buffers; leaf .grad receives the finished totals.
-        # A first contribution is kept as returned: it may alias g, another
-        # contribution or a closure's saved array, so it is never written.
-        # The second becomes a fresh sum that later contributions add into.
+        # A first contribution is kept as returned.  Unless its op marked it
+        # fresh, it may alias g, another contribution or a closure's saved
+        # array, so it is never written: the second becomes a new sum that
+        # later contributions add into, and a leaf gets a copy.  ``owned``
+        # holds the buffers that may be written.
         pending: dict[int, np.ndarray] = {id(self): np.ones_like(self.data)}
         owned: set[int] = set()
         for node in reversed(order):
@@ -130,6 +133,8 @@ class Tensor:
                 existing = pending.get(pkey)
                 if existing is None:
                     pending[pkey] = contribution
+                    if node._fresh:
+                        owned.add(pkey)
                 elif pkey in owned:
                     existing += contribution
                 else:
@@ -187,12 +192,19 @@ def _coerce(value, dtype) -> Tensor:
     return Tensor(np.asarray(value, dtype=dtype))
 
 
-def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
-    """Wrap an op result, attaching tape bookkeeping when recording."""
+def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward,
+          fresh: bool = False) -> Tensor:
+    """Wrap an op result, attaching tape bookkeeping when recording.
+
+    ``fresh`` promises that every array ``backward`` returns was allocated by
+    that call and is referenced nowhere else, so the tape may keep it as a
+    leaf's gradient or add into it.
+    """
     if _grad_enabled and any(p.requires_grad for p in parents):
         out = Tensor(data, requires_grad=True, dtype=data.dtype)
         out._parents = parents
         out._backward = backward
+        out._fresh = fresh
         return out
     return Tensor(data, dtype=data.dtype)
 
@@ -274,12 +286,15 @@ def relu(x: Tensor) -> Tensor:
     return _make(data, (x,), backward)
 
 
-def sigmoid(x: Tensor) -> Tensor:
-    z = x.data
+def _sigmoid(z: np.ndarray) -> np.ndarray:
     # e = exp(-|z|) never overflows: 1/(1+e) for z >= 0, e/(1+e) below
     e = np.exp(-np.abs(z))
     denom = 1.0 + e
-    out = np.where(z >= 0, 1.0 / denom, e / denom)
+    return np.where(z >= 0, 1.0 / denom, e / denom)
+
+
+def sigmoid(x: Tensor) -> Tensor:
+    out = _sigmoid(x.data)
 
     def backward(g):
         return (g * out * (1.0 - out),)
@@ -327,10 +342,29 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape)
         return ga, gb
 
-    return _make(data, (a, b), backward)
+    return _make(data, (a, b), backward, fresh=True)
 
 
 # -- linear and convolution ----------------------------------------------------
+
+
+def _project(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None):
+    """``linear``'s forward on arrays: (output, [rows,Cin] input, [Cout,Cin] kernel)."""
+    c_out, c_in = weight.shape[:2]
+    rows = x.reshape(-1, c_in)
+    k2d = weight.reshape(c_out, c_in)
+    out = rows @ k2d.T
+    if bias is not None:
+        out += bias
+    return out.reshape(x.shape[:-1] + (c_out,)), rows, k2d
+
+
+def _project_grads(g: np.ndarray, rows: np.ndarray, k2d: np.ndarray,
+                   x_shape: tuple[int, ...], weight_shape: tuple[int, ...]):
+    """``linear``'s backward on arrays: fresh (input, weight, bias) gradients."""
+    g2 = g.reshape(-1, k2d.shape[0])
+    return ((g2 @ k2d).reshape(x_shape), (g2.T @ rows).reshape(weight_shape),
+            g2.sum(axis=0))
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
@@ -350,25 +384,14 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
         raise DimensionError(
             f"linear bias shape {bias.shape} does not match {c_out} output channels"
         )
-    rows = x.data.reshape(-1, c_in)
-    k2d = weight.data.reshape(c_out, c_in)
-    out = rows @ k2d.T
-    if bias is not None:
-        out += bias.data
+    out, rows, k2d = _project(x.data, weight.data,
+                              None if bias is None else bias.data)
     parents = (x, weight) if bias is None else (x, weight, bias)
 
     def backward(g):
-        gx = gk = gb = None
-        g2 = g.reshape(-1, c_out)
-        if weight.requires_grad:
-            gk = (g2.T @ rows).reshape(weight.shape)
-        if bias is not None and bias.requires_grad:
-            gb = g2.sum(axis=0)
-        if x.requires_grad:
-            gx = (g2 @ k2d).reshape(x.shape)
-        return (gx, gk) if bias is None else (gx, gk, gb)
+        return _project_grads(g, rows, k2d, x.shape, weight.shape)[:len(parents)]
 
-    return _make(out.reshape(x.shape[:-1] + (c_out,)), parents, backward)
+    return _make(out, parents, backward, fresh=True)
 
 
 def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
@@ -440,7 +463,7 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
             gx = gxt[:, padding:padding + h, padding:padding + w].transpose(0, 3, 1, 2)
         return (gx, gk) if bias is None else (gx, gk, gb)
 
-    return _make(data, parents, backward)
+    return _make(data, parents, backward, fresh=True)
 
 
 # -- layer normalization -------------------------------------------------------
@@ -464,6 +487,31 @@ class LayerNormParams:
             raise ValidationError(f"epsilon must be positive, got {self.epsilon}")
 
 
+def _normalize(x: np.ndarray, params: LayerNormParams, axis: int):
+    """``layer_norm``'s forward on arrays: (output, xhat, 1/std, broadcast gamma)."""
+    bshape = [1] * x.ndim
+    bshape[axis] = x.shape[axis]
+    gb = params.gamma.data.reshape(bshape)
+    xhat = x - x.mean(axis=axis, keepdims=True)
+    # population variance by the operations np.var runs, on the centred copy
+    var = np.square(xhat).mean(axis=axis, keepdims=True)
+    inv = 1.0 / np.sqrt(var + np.asarray(params.epsilon, dtype=x.dtype))
+    xhat *= inv
+    return xhat * gb + params.beta.data.reshape(bshape), xhat, inv, gb
+
+
+def _normalize_grads(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray,
+                     gb: np.ndarray, axis: int):
+    """``layer_norm``'s backward on arrays: fresh (input, gamma, beta) gradients."""
+    reduce_axes = tuple(i for i in range(g.ndim) if i != axis)
+    dxhat = g * gb
+    dx = inv * (
+        dxhat - dxhat.mean(axis=axis, keepdims=True)
+        - xhat * (dxhat * xhat).mean(axis=axis, keepdims=True)
+    )
+    return dx, (g * xhat).sum(axis=reduce_axes), g.sum(axis=reduce_axes)
+
+
 def layer_norm(x: Tensor, params: LayerNormParams, axis: int = -1) -> Tensor:
     """Normalize ``axis`` to zero mean / unit population variance, then scale+shift."""
     if not -x.ndim <= axis < x.ndim:
@@ -476,31 +524,9 @@ def layer_norm(x: Tensor, params: LayerNormParams, axis: int = -1) -> Tensor:
         raise DimensionError(
             f"feature axis {axis} has length {n}, gamma has {params.gamma.shape[0]}"
         )
-    gamma, beta = params.gamma, params.beta
-    bshape = [1] * x.ndim
-    bshape[axis] = n
-    gb = gamma.data.reshape(bshape)
-    xhat = x.data - x.data.mean(axis=axis, keepdims=True)
-    # population variance by the operations np.var runs, on the centred copy
-    var = np.square(xhat).mean(axis=axis, keepdims=True)
-    inv = 1.0 / np.sqrt(var + np.asarray(params.epsilon, dtype=x.dtype))
-    xhat *= inv
-    data = xhat * gb + beta.data.reshape(bshape)
-    reduce_axes = tuple(i for i in range(x.ndim) if i != axis)
-
-    def backward(g):
-        dgamma = (g * xhat).sum(axis=reduce_axes) if gamma.requires_grad else None
-        dbeta = g.sum(axis=reduce_axes) if beta.requires_grad else None
-        dx = None
-        if x.requires_grad:
-            dxhat = g * gb
-            dx = inv * (
-                dxhat - dxhat.mean(axis=axis, keepdims=True)
-                - xhat * (dxhat * xhat).mean(axis=axis, keepdims=True)
-            )
-        return dx, dgamma, dbeta
-
-    return _make(data, (x, gamma, beta), backward)
+    data, xhat, inv, gb = _normalize(x.data, params, axis)
+    return _make(data, (x, params.gamma, params.beta),
+                 lambda g: _normalize_grads(g, xhat, inv, gb, axis), fresh=True)
 
 
 # -- adaptive pooling ----------------------------------------------------------
@@ -656,9 +682,12 @@ class AdamState:
 
     ``init_adam`` moves every parameter into the flat ``data`` arena, in
     parameter order, and binds each ``Tensor.data`` to its view there
-    (``views``).  ``m`` and ``v`` are laid out like ``data``.  ``groups``
-    holds (start, stop, names) runs of whole consecutive parameters of at
-    most ADAM_GROUP_ELEMS elements (a larger parameter runs alone).
+    (``views``).  ``m`` and ``v`` are laid out like ``data``.  ``skipped``
+    names the parameters that have never had a gradient: their moments are
+    still zero, so an update would move nothing and ``adam_step`` leaves them
+    out.  ``groups`` holds (start, stop, names) runs of whole consecutive
+    parameters that are not skipped, of at most ADAM_GROUP_ELEMS elements (a
+    larger parameter runs alone).
     """
 
     lr: float
@@ -671,6 +700,7 @@ class AdamState:
     v: np.ndarray = field(default_factory=lambda: np.zeros(0))
     views: dict[str, np.ndarray] = field(default_factory=dict)
     groups: list[tuple[int, int, tuple[str, ...]]] = field(default_factory=list)
+    skipped: set[str] = field(default_factory=set)
 
     def __post_init__(self):
         if self.lr < 0:
@@ -679,6 +709,26 @@ class AdamState:
             raise ValidationError(
                 f"betas must lie in [0, 1), got {self.beta1}, {self.beta2}"
             )
+
+
+def _adam_groups(views: dict[str, np.ndarray], skipped: set[str]):
+    """Runs of whole consecutive arena parameters; a skipped one ends a run."""
+    groups: list[tuple[int, int, tuple[str, ...]]] = []
+    names: list[str] = []
+    start = offset = 0
+    for name, view in views.items():
+        stop = offset + view.size
+        if names and (name in skipped or stop - start > ADAM_GROUP_ELEMS):
+            groups.append((start, offset, tuple(names)))
+            names = []
+        if name not in skipped:
+            if not names:
+                start = offset
+            names.append(name)
+        offset = stop
+    if names:
+        groups.append((start, offset, tuple(names)))
+    return groups
 
 
 def init_adam(params: dict[str, Tensor], lr: float, beta1: float = 0.9,
@@ -694,20 +744,14 @@ def init_adam(params: dict[str, Tensor], lr: float, beta1: float = 0.9,
     state.data = np.empty(total, dtype=dtype)
     state.m = np.zeros(total, dtype=dtype)
     state.v = np.zeros(total, dtype=dtype)
-    offset = start = 0
-    names: list[str] = []
+    offset = 0
     for name, p in params.items():
         stop = offset + p.data.size
-        if names and stop - start > ADAM_GROUP_ELEMS:
-            state.groups.append((start, offset, tuple(names)))
-            start, names = offset, []
-        names.append(name)
         view = state.data[offset:stop].reshape(p.data.shape)
         view[...] = p.data
         p.data = state.views[name] = view
         offset = stop
-    if names:
-        state.groups.append((start, offset, tuple(names)))
+    state.groups = _adam_groups(state.views, state.skipped)
     return state
 
 
@@ -715,11 +759,18 @@ def adam_step(params: dict[str, Tensor], state: AdamState) -> None:
     """One in-place Adam update with bias correction. Gradients are left intact.
 
     Each element sees the per-tensor update's operations in the same order,
-    so the result is bit-identical to updating one parameter at a time.
+    so the result is bit-identical to updating one parameter at a time.  A
+    parameter that has never had a gradient is skipped (its update would be
+    exactly 0); one that had a gradient before but has none now gets the
+    zero-gradient update, which still moves it by its moments.
     """
+    skipped = set()
     for name, p in params.items():
-        if p.grad is None:
-            raise UsageError(f"parameter {name!r} has no gradient buffer")
+        if p._grad is None:
+            if not p.requires_grad:
+                raise UsageError(f"parameter {name!r} has no gradient buffer")
+            if state.step_count == 0 or name in state.skipped:
+                skipped.add(name)
         view = state.views.get(name)
         if view is None:
             raise UsageError(f"optimizer state is missing buffers for {name!r}")
@@ -730,6 +781,9 @@ def adam_step(params: dict[str, Tensor], state: AdamState) -> None:
     if len(params) != len(state.views):
         missing = sorted(set(state.views) - set(params))
         raise UsageError(f"parameters {missing} of the optimizer state were not passed")
+    if skipped != state.skipped:
+        state.skipped = skipped
+        state.groups = _adam_groups(state.views, skipped)
     state.step_count += 1
     t = state.step_count
     bc1 = 1.0 - state.beta1 ** t

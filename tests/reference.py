@@ -19,3 +19,43 @@ def per_tensor_adam_step(params, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
         v[name] += (1.0 - beta2) * g * g
         step = (m[name] / bc1) / (np.sqrt(v[name] / bc2) + eps)
         p.data -= np.asarray(lr * step, dtype=p.data.dtype)
+
+
+def composed_block(x, blk, heads):
+    """msa_block as a composition of its sub-modules on every grid size,
+    the 1x1 grid included (one tape node per op)."""
+    from ahmsa.model import channel_attention, feed_forward, spatial_attention
+    from ahmsa.tensor import layer_norm, transpose
+
+    x = transpose(x, (0, 2, 3, 1))
+    x = x + channel_attention(layer_norm(x, blk.ln_ca), blk)
+    x = x + spatial_attention(layer_norm(x, blk.ln_sa), blk, heads)
+    x = x + feed_forward(layer_norm(x, blk.ln_ff), blk)
+    return transpose(x, (0, 3, 1, 2))
+
+
+def reference_train_fold(maps, labels, model_config, train_config):
+    """train_fold's loop with the per-tensor Adam step, which updates every
+    parameter, gradient or not.  Returns the parameters and loss history."""
+    from ahmsa.model import forward, init_model
+    from ahmsa.tensor import cross_entropy, zero_grads
+
+    params = init_model(model_config, seed=train_config.seed)
+    named = params.named_parameters()
+    m = {n: np.zeros_like(t.data) for n, t in named.items()}
+    v = {n: np.zeros_like(t.data) for n, t in named.items()}
+    order_rng = np.random.default_rng(train_config.seed)
+    step, history = 0, []
+    for _ in range(train_config.epochs):
+        order = order_rng.permutation(len(labels))
+        total = 0.0
+        for start in range(0, len(labels), train_config.batch_size):
+            idx = order[start:start + train_config.batch_size]
+            loss = cross_entropy(forward(maps[idx], params), labels[idx])
+            loss.backward()
+            step += 1
+            per_tensor_adam_step(named, m, v, step, lr=train_config.learning_rate)
+            zero_grads(named)
+            total += float(loss.data) * len(idx)
+        history.append(total / len(labels))
+    return params, history

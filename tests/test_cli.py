@@ -305,6 +305,26 @@ def test_loso_worker_death_exit_1(dataset, tmp_path, capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("flag, env", [
+    ("0", None), ("-4", None), (None, "-3"), (None, "0"), ("2", "-1"), (None, "two"),
+])
+def test_loso_rejects_non_positive_fold_counts(dataset, tmp_path, capsys, monkeypatch,
+                                               flag, env):
+    if env is None:
+        monkeypatch.delenv("AHMSA_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("AHMSA_THREADS", env)
+    extra = [] if flag is None else ["--parallel-folds", flag]
+    code = run_cli("loso", "--manifest", str(dataset / "manifest.csv"),
+                   "--extract", "--out-dir", str(tmp_path / "o"),
+                   "--config", str(write_config(tmp_path)), *extra)
+    assert code == 2
+    err = capsys.readouterr().err
+    name = "--parallel-folds" if env is None else "AHMSA_THREADS"
+    assert err.startswith("config error:") and name in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()  # rejected before any fold ran
+
+
 # -- train -----------------------------------------------------------------------------
 
 
@@ -320,6 +340,21 @@ def test_train_writes_checkpoint(dataset, tmp_path, capsys):
     capsys.readouterr()
     params = load_checkpoint(out)
     assert params.config.embed_channels == 12
+
+
+def test_train_oversized_model_is_an_error_not_a_traceback(dataset, tmp_path, capsys):
+    # the first array init_model draws, the [C,3,2,2] float64 patch kernel,
+    # would take ~1.3e18 bytes: more than any address space holds, so the
+    # allocation fails at once without touching memory
+    channels = 12 * 2 ** 50
+    code = run_cli("train", "--manifest", str(dataset / "manifest.csv"),
+                   "--extract", "--out", str(tmp_path / "model.ckpt"),
+                   "--config", str(write_config(tmp_path)),
+                   "--embed-channels", str(channels))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory") and "Traceback" not in err
+    assert not (tmp_path / "model.ckpt").exists()
 
 
 # -- report -----------------------------------------------------------------------------

@@ -30,6 +30,7 @@ from ahmsa.tensor import (
     layer_norm,
     linear,
     matmul,
+    no_grad,
     relu,
     reshape,
     sigmoid,
@@ -39,7 +40,10 @@ from ahmsa.tensor import (
     zero_grads,
 )
 
+import ahmsa.model as model_mod
+from ahmsa.train import TrainConfig, train_fold
 from gradcheck import relative_error
+from reference import composed_block, reference_train_fold
 
 
 def small_config():
@@ -773,6 +777,109 @@ def test_single_position_shortcuts_bit_exact(part):
     np.testing.assert_array_equal(gx, ref_gx)
     for name, ref_grad in ref_grads.items():
         np.testing.assert_array_equal(grads[name], ref_grad, err_msg=name)
+
+
+# -- the fused 1x1 block against the composed sub-modules ----------------------------------------
+# On the 1x1 top level msa_block records one tape node.  Its reference is
+# the composition of channel_attention, spatial_attention and feed_forward
+# (tests/reference.py), which must give the same bytes.
+
+
+def _block_outputs(block, x0, blk, named, heads, g, passes):
+    """Output, no_grad output, input gradient and the block's gradients by name."""
+    zero_grads(named)
+    x = Tensor(x0, requires_grad=True)
+    for _ in range(passes):  # later passes accumulate without zero_grads
+        out = block(x, blk, heads)
+        tsum(out * Tensor(g)).backward()
+    with no_grad():
+        plain = block(Tensor(x0), blk, heads)
+    grads = {name: None if t._grad is None else t._grad.tobytes()
+             for name, t in named.items()}
+    return out.data.tobytes(), plain.data.tobytes(), x.grad.tobytes(), grads
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("batch", [1, 13, 32])
+@pytest.mark.parametrize("passes", [1, 2])
+def test_fused_single_position_block_bit_exact(dtype, batch, passes):
+    cfg = ModelConfig() if dtype == np.float32 else tiny_config()
+    params = init_model(cfg, seed=25, dtype=dtype)
+    blk = params.levels[2][0]
+    named = {name: t for name, t in params.named_parameters().items()
+             if name.startswith("level2.block0.")}
+    rng = np.random.default_rng(batch)
+    x0 = rng.standard_normal((batch, cfg.embed_channels, 1, 1)).astype(dtype)
+    g = rng.standard_normal(x0.shape).astype(dtype)
+    fused = _block_outputs(msa_block, x0, blk, named, cfg.heads, g, passes)
+    composed = _block_outputs(composed_block, x0, blk, named, cfg.heads, g, passes)
+    assert fused == composed
+    assert [name for name, grad in fused[3].items() if grad is None] == [
+        f"level2.block0.sa.{w}" for w in ("q_w", "q_b", "k_w", "k_b")]
+
+
+def _network_outputs(params, maps, labels):
+    """Logits, no_grad logits, input gradient and every parameter gradient."""
+    named = params.named_parameters()
+    zero_grads(named)
+    x = Tensor(maps.transpose(0, 3, 1, 2), requires_grad=True)
+    logits = forward(x, params)
+    cross_entropy(logits, labels).backward()
+    with no_grad():
+        plain = forward(maps, params)
+    return ([logits.data.tobytes(), plain.data.tobytes(), x.grad.tobytes()]
+            + [t.grad.tobytes() for t in named.values()])
+
+
+def _composed_1x1(x, blk):
+    return composed_block(x, blk, ModelConfig().heads)  # tiny_config's too
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_fused_network_logits_and_gradients_bit_exact(monkeypatch, dtype):
+    cfg = ModelConfig() if dtype == np.float32 else tiny_config()
+    params = init_model(cfg, seed=26, dtype=dtype)
+    rng = np.random.default_rng(26)
+    maps = rng.uniform(-1, 1, (32, 28, 28, 3)).astype(dtype)
+    labels = rng.integers(0, 3, 32)
+    fused = _network_outputs(params, maps, labels)
+    monkeypatch.setattr(model_mod, "_single_position_block", _composed_1x1)
+    assert fused == _network_outputs(params, maps, labels)
+
+
+def test_fused_train_fold_bit_exact(monkeypatch):
+    """Three default-config epochs with the fused block and Adam's skip give
+    the parameters and loss history of the composed block with an Adam that
+    updates every parameter."""
+    cfg = ModelConfig()
+    rng = np.random.default_rng(27)
+    maps = rng.standard_normal((45, 28, 28, 3)).astype(np.float32)
+    labels = rng.integers(0, 3, 45)
+    tc = TrainConfig(epochs=3, learning_rate=1e-3, batch_size=32, seed=5)
+    params, history = train_fold(maps, labels, cfg, tc)
+    monkeypatch.setattr(model_mod, "_single_position_block", _composed_1x1)
+    ref, ref_history = reference_train_fold(maps, labels, cfg, tc)
+    assert history == ref_history
+    ref_named = ref.named_parameters()
+    for name, t in params.named_parameters().items():
+        assert t.data.tobytes() == ref_named[name].data.tobytes(), name
+
+
+def test_default_batch_tape_size_pinned():
+    """One default-config batch-32 loss records 187 ops (355 with the top
+    level composed), and no level-2 Q/K parameter reaches it."""
+    cfg = ModelConfig()
+    params = init_model(cfg, seed=28)
+    rng = np.random.default_rng(28)
+    loss = cross_entropy(forward(rand_maps(rng, 32, cfg), params), rng.integers(0, 3, 32))
+    order = loss._topological_order()
+    assert sum(node._backward is not None for node in order) == 187
+    assert len(order) == 436  # the ops and the leaves they read
+    reached = {id(node) for node in order}
+    unreached = {name for name, t in params.named_parameters().items()
+                 if id(t) not in reached}
+    assert unreached == {f"level2.block{b}.sa.{w}" for b in range(8)
+                         for w in ("q_w", "q_b", "k_w", "k_b")}
 
 
 # -- end-to-end gradient check --------------------------------------------------------------------

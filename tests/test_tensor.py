@@ -579,6 +579,47 @@ def test_backward_shared_consumers_get_exact_grads_without_mutation(reverse):
     np.testing.assert_array_equal(b.grad, ws[5])
 
 
+@pytest.mark.parametrize("reverse", [False, True])
+def test_backward_fresh_leaf_gradients_stay_separate(reverse):
+    # linear, conv2d, layer_norm and matmul mark their gradients fresh, so a
+    # leaf keeps a sole contribution without a copy and a later one is added
+    # into it.  x reaches the loss through linear (fresh) and through an add
+    # (an alias of g), in both orders; w feeds two linears.  A second
+    # backward without zero_grads must double every gradient exactly, and no
+    # gradient may share memory with another or with any forward value.
+    rng = np.random.default_rng(9)
+    x = t64(rng.standard_normal((2, 3, 4, 5)), requires_grad=True)
+    w = t64(rng.standard_normal((5, 5, 1, 1)), requires_grad=True)
+    b = t64(rng.standard_normal(5), requires_grad=True)
+    k = t64(rng.standard_normal((2, 3, 3, 3)), requires_grad=True)
+    ln = _ln_params(5, requires_grad=True)
+    m = t64(rng.standard_normal((5, 2)), requires_grad=True)
+    leaves = [x, w, b, k, ln.gamma, ln.beta, m]
+    terms = [
+        linear(linear(x, w, b), w),
+        x + t64(rng.standard_normal(x.shape)),
+        conv2d(x, k, padding=1),
+        matmul(layer_norm(x, ln), m),
+    ]
+    if reverse:
+        terms.reverse()
+    loss = tsum(mul(terms[0], terms[0]))
+    for term in terms[1:]:
+        loss = loss + tsum(mul(term, term))
+    snapshots = [(t, t.data.copy()) for t in [*leaves, *terms]]
+    loss.backward()
+    first = [t.grad.copy() for t in leaves]
+    loss.backward()
+    for t, g in zip(leaves, first):
+        assert t.grad.tobytes() == (g + g).tobytes()
+    for tensor, before in snapshots:
+        np.testing.assert_array_equal(tensor.data, before)
+    arrays = [t.grad for t in leaves] + [t.data for t in leaves + terms]
+    for i, t in enumerate(leaves):
+        for j, other in enumerate(arrays):
+            assert i == j or not np.shares_memory(t.grad, other), (i, j)
+
+
 def test_backward_rejects_non_scalar():
     x = Tensor(np.zeros(3), requires_grad=True)
     with pytest.raises(UsageError):
@@ -737,6 +778,45 @@ def test_adam_arena_matches_per_tensor_reference_bit_exact(dtype):
         assert state.m.tobytes() == b"".join(m.tobytes() for m in ref_m.values())
         assert state.v.tobytes() == b"".join(v.tobytes() for v in ref_v.values())
     assert state.step_count == len(steps)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_adam_skips_parameters_that_never_had_a_gradient(dtype):
+    """A never-graded parameter is left out (same bytes as its zero-gradient
+    update, and no buffer is allocated for it); one that had a gradient
+    before still gets the zero-gradient update, which moves it."""
+    data, steps = _adam_problem(dtype)
+    del steps[0]["b"]  # b first gets a gradient at step 2
+    del steps[1]["c"]  # c has moments from step 1, and no gradient at step 2
+    params = {n: Tensor(a.copy(), requires_grad=True) for n, a in data.items()}
+    ref = {n: Tensor(a.copy(), requires_grad=True) for n, a in data.items()}
+    state = init_adam(params, lr=3e-3)
+    ref_m = {n: np.zeros_like(a) for n, a in data.items()}
+    ref_v = {n: np.zeros_like(a) for n, a in data.items()}
+    expected_groups = [  # with b out, c and d fit one group
+        [("a",), ("big",), ("c", "d"), ("e",)],
+        [("a",), ("big",), ("b", "c"), ("d",), ("e",)],
+        [("a",), ("big",), ("b", "c"), ("d",), ("e",)],
+        [("a",), ("big",), ("b", "c"), ("d",), ("e",)],
+    ]
+    for t, grads in enumerate(steps, start=1):
+        for name, g in grads.items():
+            params[name].grad = g.copy()
+            ref[name].grad = g.copy()
+        c_before = params["c"].data.copy()
+        adam_step(params, state)
+        per_tensor_adam_step(ref, ref_m, ref_v, t, lr=3e-3)
+        assert [names for _, _, names in state.groups] == expected_groups[t - 1]
+        assert params["idle"]._grad is None
+        if t == 2:
+            assert "c" not in grads and params["c"].data.tobytes() != c_before.tobytes()
+        zero_grads(params)
+        zero_grads(ref)
+        for name, p in params.items():
+            assert p.data.tobytes() == ref[name].data.tobytes(), (t, name)
+        assert state.m.tobytes() == b"".join(m.tobytes() for m in ref_m.values())
+        assert state.v.tobytes() == b"".join(v.tobytes() for v in ref_v.values())
+    assert state.skipped == {"idle"}
 
 
 def test_init_adam_binds_parameters_to_arena_views():

@@ -9,8 +9,7 @@ import pytest
 import ahmsa.train as train_module
 from ahmsa.data import ConfusionMatrix, gen_synthetic, uar, uf1
 from ahmsa.errors import AhmsaError, ConfigError, TrainingDivergedError, ValidationError
-from ahmsa.model import ModelConfig, forward, init_model, tiny_config
-from ahmsa.tensor import cross_entropy, zero_grads
+from ahmsa.model import ModelConfig, init_model, tiny_config
 from ahmsa.train import (
     FoldResult,
     MetricsReport,
@@ -22,7 +21,7 @@ from ahmsa.train import (
     train_fold,
 )
 
-from reference import per_tensor_adam_step
+from reference import reference_train_fold
 
 
 def small_model():
@@ -143,26 +142,9 @@ def test_train_fold_matches_per_tensor_adam_loop():
     labels = rng.integers(0, 3, 40)
     tc = TrainConfig(epochs=2, learning_rate=1e-3, batch_size=32, seed=4)
     params, history = train_fold(maps, labels, cfg, tc)
-
-    ref = init_model(cfg, seed=tc.seed)
-    named = ref.named_parameters()
-    m = {n: np.zeros_like(t.data) for n, t in named.items()}
-    v = {n: np.zeros_like(t.data) for n, t in named.items()}
-    order_rng = np.random.default_rng(tc.seed)
-    step, ref_history = 0, []
-    for _ in range(tc.epochs):
-        order = order_rng.permutation(len(labels))
-        total = 0.0
-        for start in range(0, len(labels), tc.batch_size):
-            idx = order[start:start + tc.batch_size]
-            loss = cross_entropy(forward(maps[idx], ref), labels[idx])
-            loss.backward()
-            step += 1
-            per_tensor_adam_step(named, m, v, step, lr=tc.learning_rate)
-            zero_grads(named)
-            total += float(loss.data) * len(idx)
-        ref_history.append(total / len(labels))
+    ref, ref_history = reference_train_fold(maps, labels, cfg, tc)
     assert history == ref_history
+    named = ref.named_parameters()
     for name, t in params.named_parameters().items():
         assert t.data.tobytes() == named[name].data.tobytes(), name
 
