@@ -18,15 +18,15 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
+from collections.abc import Iterator
 from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .data import CLASS_NAMES, DatasetManifest, gen_synthetic, load_manifest
+from .data import CLASS_NAMES, DatasetManifest, Sample, gen_synthetic, load_manifest
 from .errors import AhmsaError, ConfigError, ValidationError, is_finite_real, is_int
 from .model import ModelConfig, save_checkpoint
 from .optflow import (
@@ -37,8 +37,7 @@ from .optflow import (
     write_flow_map,
 )
 from .train import TrainConfig, run_loso, train_fold
-
-THREAD_ENV_VAR = "AHMSA_THREADS"
+from .workers import THREAD_ENV_VAR, forked_map, worker_count
 
 
 @dataclass(frozen=True)
@@ -158,32 +157,83 @@ def flow_file_name(sample) -> str:
     return f"{sample.database_id}_{sample.subject_id}_{sample.sample_id}.flow"
 
 
-def _extract_one(sample, run: RunConfig) -> np.ndarray:
-    onset = read_pgm(sample.onset_path)
-    apex = read_pgm(sample.apex_path)
-    return extract_feature_map(
-        onset, apex, sample.landmarks,
-        tvl1_params=run.tvl1,
-        region_px=run.flow.region_px,
-        out_size=run.model.h_flow,
-        include_nose=run.flow.include_nose,
-        norm=run.flow.norm,
-    )
+def flow_file_names(manifest: DatasetManifest) -> list[str]:
+    """``flow_file_name`` of every sample in manifest order; a
+    ``ValidationError`` naming both samples where two would share a file."""
+    owners: dict[str, Sample] = {}
+    for sample in manifest.samples:
+        name = flow_file_name(sample)
+        owner = owners.setdefault(name, sample)
+        if owner is not sample:
+            raise ValidationError(
+                f"samples {owner.sample_id!r} (database {owner.database_id!r}, "
+                f"subject {owner.subject_id!r}) and {sample.sample_id!r} (database "
+                f"{sample.database_id!r}, subject {sample.subject_id!r}) would share "
+                f"the flow file {name}")
+    return list(owners)
+
+
+def _extracted(manifest: DatasetManifest, run: RunConfig,
+               workers: int) -> Iterator[tuple[int, np.ndarray | Exception]]:
+    """(index, feature map) for every sample in manifest order, or (index,
+    error) where its frames could not be read or its map not computed.
+
+    This process reads the frames; ``workers`` forked processes (for one,
+    this process) compute the maps.
+    """
+    unread: dict[int, Exception] = {}  # read failures, by manifest index
+
+    def frame_pairs():
+        for i, sample in enumerate(manifest.samples):
+            try:
+                onset, apex = read_pgm(sample.onset_path), read_pgm(sample.apex_path)
+            except (AhmsaError, OSError) as exc:
+                unread[i] = exc
+                continue
+            yield i, onset, apex
+
+    def feature_map(task):
+        i, onset, apex = task
+        try:
+            return i, extract_feature_map(
+                onset, apex, manifest.samples[i].landmarks,
+                tvl1_params=run.tvl1,
+                region_px=run.flow.region_px,
+                out_size=run.model.h_flow,
+                include_nose=run.flow.include_nose,
+                norm=run.flow.norm,
+            )
+        except AhmsaError as exc:
+            return i, exc
+
+    def name_of(task) -> str:
+        return f"sample {manifest.samples[task[0]].sample_id!r}"
+
+    position = 0  # every sample before it has been yielded
+    for i, fmap in forked_map(feature_map, frame_pairs(), workers, name_of):
+        yield from ((j, unread.pop(j)) for j in range(position, i))
+        yield i, fmap
+        position = i + 1
+    yield from ((j, unread.pop(j)) for j in range(position, len(manifest)))
 
 
 def load_feature_maps(manifest: DatasetManifest, flow_dir: Path | None,
-                      extract: bool, run: RunConfig) -> np.ndarray:
-    """Feature maps aligned with manifest order, from files or computed inline."""
+                      extract: bool, run: RunConfig, workers: int = 1) -> np.ndarray:
+    """Feature maps aligned with manifest order, from files or computed inline
+    by ``workers`` processes; the first sample that fails raises."""
     maps = []
-    for sample in manifest.samples:
-        if extract:
-            maps.append(_extract_one(sample, run))
-        else:
-            if flow_dir is None:
-                raise ValidationError(
-                    "either --flow-dir or --extract is required to obtain feature maps"
-                )
-            path = flow_dir / flow_file_name(sample)
+    if extract:
+        for _, fmap in _extracted(manifest, run, workers):
+            if isinstance(fmap, Exception):
+                raise fmap
+            maps.append(fmap)
+    elif flow_dir is None:
+        raise ValidationError(
+            "either --flow-dir or --extract is required to obtain feature maps"
+        )
+    else:
+        for sample, name in zip(manifest.samples, flow_file_names(manifest)):
+            path = flow_dir / name
             if not path.is_file():
                 raise ValidationError(
                     f"flow file missing for sample {sample.sample_id!r}: {path} "
@@ -321,18 +371,22 @@ def cmd_gen_synthetic(args) -> int:
 
 def cmd_extract_flow(args) -> int:
     run = build_run_config(args.config, _collect_overrides(args))
+    workers = worker_count()
     manifest = load_manifest(args.manifest)
+    names = flow_file_names(manifest)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     failures = 0
-    for i, sample in enumerate(manifest.samples, start=1):
+    for i, fmap in _extracted(manifest, run, workers):
+        sample = manifest.samples[i]
         try:
-            fmap = _extract_one(sample, run)
-            write_flow_map(out_dir / flow_file_name(sample), fmap)
-            print(f"[{i}/{len(manifest)}] {sample.sample_id}", file=sys.stderr)
+            if isinstance(fmap, Exception):
+                raise fmap
+            write_flow_map(out_dir / names[i], fmap)
+            print(f"[{i + 1}/{len(manifest)}] {sample.sample_id}", file=sys.stderr)
         except (AhmsaError, OSError) as exc:
             failures += 1
-            print(f"[{i}/{len(manifest)}] {sample.sample_id} FAILED: {exc}",
+            print(f"[{i + 1}/{len(manifest)}] {sample.sample_id} FAILED: {exc}",
                   file=sys.stderr)
     if failures:
         print(f"{failures}/{len(manifest)} samples failed", file=sys.stderr)
@@ -340,34 +394,15 @@ def cmd_extract_flow(args) -> int:
     return 0
 
 
-def _parallel_folds(args) -> int:
-    """--parallel-folds, by default the CPUs this process may use, capped by
-    AHMSA_THREADS (``run_loso`` caps it by the fold count)."""
-    requested = args.parallel_folds
-    if requested is None:
-        requested = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                     else os.cpu_count() or 1)
-    elif requested < 1:
-        raise ConfigError(f"--parallel-folds must be positive, got {requested}")
-    env_cap = os.environ.get(THREAD_ENV_VAR)
-    if env_cap is not None:
-        try:
-            cap = int(env_cap)
-        except ValueError:
-            cap = 0  # reported below, with the non-positive values
-        if cap < 1:
-            raise ConfigError(
-                f"{THREAD_ENV_VAR} must be a positive integer, got {env_cap!r}")
-        requested = min(requested, cap)
-    return requested
-
-
 def cmd_loso(args) -> int:
     run = build_run_config(args.config, _collect_overrides(args))
-    parallel_folds = _parallel_folds(args)
+    if args.parallel_folds is not None and args.parallel_folds < 1:
+        raise ConfigError(f"--parallel-folds must be positive, got {args.parallel_folds}")
+    parallel_folds = worker_count(args.parallel_folds)
+    workers = worker_count()
     manifest = load_manifest(args.manifest)
     flow_dir = Path(args.flow_dir) if args.flow_dir else None
-    maps = load_feature_maps(manifest, flow_dir, args.extract, run)
+    maps = load_feature_maps(manifest, flow_dir, args.extract, run, workers)
     report = run_loso(manifest, maps, run.model, run.train,
                       parallel_folds=parallel_folds)
     payload = report.to_json_dict()
@@ -380,9 +415,10 @@ def cmd_loso(args) -> int:
 
 def cmd_train(args) -> int:
     run = build_run_config(args.config, _collect_overrides(args))
+    workers = worker_count()
     manifest = load_manifest(args.manifest)
     flow_dir = Path(args.flow_dir) if args.flow_dir else None
-    maps = load_feature_maps(manifest, flow_dir, args.extract, run)
+    maps = load_feature_maps(manifest, flow_dir, args.extract, run, workers)
     params, history = train_fold(maps, manifest.labels(), run.model, run.train)
     out_path = Path(args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)

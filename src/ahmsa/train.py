@@ -5,30 +5,19 @@ index) on all other subjects' samples and is scored on the held-out subject.
 Fold confusion matrices are pooled before computing UF1/UAR, both overall
 and per source database.
 
-Folds are independent, so ``run_loso`` can run several at once in worker
-processes.  The workers are forked once the feature maps are loaded, so they
-inherit the manifest, maps, labels and configs without pickling.  Each pins
-the loaded OpenBLAS to one thread before its first fold, so that N workers
-share N cores instead of oversubscribing them, then trains the folds the
-parent hands it one index at a time.  Their ``ahmsa.*`` log records reach the
-parent's handlers as they are emitted, with ``args`` intact, and the parent
-merges the results in fold order, so the report is byte-identical to the
-sequential run's.  Where no OpenBLAS thread setter can be found the folds run
-sequentially in this process.
+Folds are independent, so ``run_loso`` can train several at once in worker
+processes through ``workers.forked_map``.  The workers are forked once the
+feature maps are loaded, so they inherit the manifest, maps, labels and
+configs without pickling; each gets fold indices one at a time, and the
+parent merges the results in fold order, so the report is byte-identical to
+the sequential run's.
 """
 
 from __future__ import annotations
 
-import ctypes
 import logging
 import math
-import multiprocessing
-import pickle
-import signal
-import sys
-from collections.abc import Callable
 from dataclasses import dataclass, field, replace
-from multiprocessing.connection import Connection, wait
 
 import numpy as np
 
@@ -41,7 +30,6 @@ from .data import (
     uf1,
 )
 from .errors import (
-    AhmsaError,
     ConfigError,
     TrainingDivergedError,
     ValidationError,
@@ -50,6 +38,7 @@ from .errors import (
 )
 from .model import ModelConfig, ModelParams, forward, init_model
 from .tensor import adam_step, cross_entropy, init_adam, no_grad, zero_grads
+from .workers import forked_map
 
 logger = logging.getLogger(__name__)
 
@@ -241,149 +230,6 @@ def _run_one_fold(fold_index: int, subject: str, train_idx: list[int],
                       predictions=records)
 
 
-# (set, get) thread-count functions of the OpenBLAS numpy wheels bundle, then
-# of a plain OpenBLAS.
-_OPENBLAS_THREAD_FUNCTIONS = (
-    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
-    ("openblas_set_num_threads", "openblas_get_num_threads"),
-)
-
-BlasThreadControl = tuple[Callable[[int], None], Callable[[], int]]
-
-
-def openblas_thread_controls() -> list[BlasThreadControl]:
-    """(set, get) thread-count functions of every OpenBLAS loaded in this
-    process, found through ``/proc/self/maps``; empty where there is none."""
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as f:
-            libs = sorted({line.split()[-1] for line in f
-                           if "openblas" in line.lower() and ".so" in line})
-    except OSError:
-        return []
-    controls = []
-    for lib in libs:
-        try:
-            handle = ctypes.CDLL(lib)
-        except OSError:
-            continue
-        for set_name, get_name in _OPENBLAS_THREAD_FUNCTIONS:
-            setter = getattr(handle, set_name, None)
-            getter = getattr(handle, get_name, None)
-            if setter is not None and getter is not None:
-                setter.argtypes, setter.restype = [ctypes.c_int], None
-                getter.argtypes, getter.restype = [], ctypes.c_int
-                controls.append((setter, getter))
-                break
-    return controls
-
-
-class _ForwardRecords(logging.Handler):
-    """Sends a worker's records to the parent, which hands each to its own
-    logger of the same name."""
-
-    def __init__(self, conn: Connection):
-        super().__init__()
-        self.conn = conn
-
-    def emit(self, record: logging.LogRecord) -> None:
-        try:
-            pickle.loads(pickle.dumps(record))
-        except Exception:  # args that do not survive pickling travel as text
-            record.msg, record.args = record.getMessage(), None
-        self.conn.send(("log", record))
-
-
-def _fold_worker(conn: Connection, parent_ends: list[Connection],
-                 controls: list[BlasThreadControl],
-                 run_fold: Callable[[int], FoldResult]) -> None:
-    """Body of a forked worker: trains the folds it is sent until ``None``."""
-    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent ends its workers
-    for parent_end in parent_ends:  # so that EOF on a pipe means its peer is gone
-        parent_end.close()
-    for set_threads, _ in controls:
-        set_threads(1)
-    forward = _ForwardRecords(conn)
-    for name in {"ahmsa", *(name for name in logging.root.manager.loggerDict
-                            if name.startswith("ahmsa."))}:
-        worker_logger = logging.getLogger(name)
-        worker_logger.handlers = [forward]
-        worker_logger.propagate = False
-    while True:
-        try:
-            fold_index = conn.recv()
-        except EOFError:
-            return
-        if fold_index is None:
-            return
-        try:
-            result = run_fold(fold_index)
-        except Exception as exc:  # the parent raises it, naming the fold
-            conn.send(("error", f"{type(exc).__name__}: {exc}"))
-            return
-        conn.send(("result", result))
-
-
-def _run_folds_forked(run_fold: Callable[[int], FoldResult], subjects: list[str],
-                      workers: int,
-                      controls: list[BlasThreadControl]) -> list[FoldResult]:
-    """Runs ``run_fold(i)`` for every fold index in ``workers`` forked
-    processes and returns the results in fold order."""
-    context = multiprocessing.get_context("fork")
-    results: list[FoldResult | None] = [None] * len(subjects)
-    todo = iter(range(len(subjects)))
-    conns: list[Connection] = []
-    procs = []
-    running: dict[Connection, int] = {}  # worker pipe -> fold index it trains
-
-    def hand_out(conn: Connection) -> None:
-        fold_index = next(todo, None)
-        conn.send(fold_index)
-        if fold_index is not None:
-            running[conn] = fold_index
-
-    sys.stdout.flush()  # or each worker flushes a copy of the buffer on exit
-    sys.stderr.flush()
-    try:
-        for _ in range(workers):
-            conn, child_conn = context.Pipe()
-            proc = context.Process(target=_fold_worker, daemon=True,
-                                   args=(child_conn, [*conns, conn], controls, run_fold))
-            proc.start()
-            child_conn.close()
-            conns.append(conn)
-            procs.append(proc)
-        for conn in conns:
-            hand_out(conn)
-        while running:
-            for conn in wait(list(running)):
-                fold_index = running[conn]
-                subject = subjects[fold_index]
-                try:
-                    kind, payload = conn.recv()
-                except EOFError:
-                    proc = procs[conns.index(conn)]
-                    proc.join(timeout=5)
-                    raise AhmsaError(f"fold {subject!r}: its worker process died "
-                                     f"(exit code {proc.exitcode})") from None
-                if kind == "log":
-                    logging.getLogger(payload.name).handle(payload)
-                elif kind == "error":
-                    raise AhmsaError(f"fold {subject!r} failed in its worker "
-                                     f"process: {payload}")
-                else:
-                    results[fold_index] = payload
-                    del running[conn]
-                    hand_out(conn)
-    finally:
-        for conn in conns:
-            conn.close()  # an idle worker's recv() ends
-        for proc in procs:
-            if running:  # a failure: the other workers' folds are not wanted
-                proc.kill()
-            proc.join()
-    return results
-
-
 def run_loso(manifest: DatasetManifest, maps: np.ndarray,
              model_config: ModelConfig, train_config: TrainConfig,
              parallel_folds: int = 1) -> MetricsReport:
@@ -393,7 +239,7 @@ def run_loso(manifest: DatasetManifest, maps: np.ndarray,
     recorded in the report and the remaining folds still run.  With
     ``parallel_folds > 1`` up to that many folds train at once in forked
     worker processes; a worker that dies or raises raises an ``AhmsaError``
-    naming its fold.
+    naming its fold.  A count below 1 is a ``ConfigError``.
     """
     model_config.validate()
     train_config.validate()
@@ -410,17 +256,8 @@ def run_loso(manifest: DatasetManifest, maps: np.ndarray,
         return _run_one_fold(fold_index, subject, train_idx, test_idx,
                              manifest, maps, labels, model_config, train_config)
 
-    workers = min(parallel_folds, len(folds))
-    controls = openblas_thread_controls() if workers > 1 else []
-    if workers > 1 and not controls:
-        # unpinned workers oversubscribe the cores and run slower than one
-        logger.warning("no OpenBLAS thread setter found: running the %d folds "
-                       "sequentially", len(folds))
-    if controls:
-        results = _run_folds_forked(run_fold, [subject for subject, _, _ in folds],
-                                    workers, controls)
-    else:
-        results = [run_fold(i) for i in range(len(folds))]
+    results = forked_map(run_fold, range(len(folds)), parallel_folds,
+                         lambda fold_index: f"fold {folds[fold_index][0]!r}")
 
     pooled = ConfusionMatrix()
     per_database: dict[str, ConfusionMatrix] = {}

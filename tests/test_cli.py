@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import shutil
+import time
 from pathlib import Path
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import ahmsa.train
+import ahmsa.workers
 from ahmsa.cli import build_run_config, confusion_to_csv, confusion_to_svg, main
 from ahmsa.errors import AhmsaError, ConfigError
 
@@ -187,6 +189,167 @@ def _assert_extract_flow_config_error(dataset, tmp_path, capsys, key, value):
     assert not list(flow_dir.glob("*.flow"))
 
 
+# -- extract-flow in worker processes ------------------------------------------------
+# The workers are forked, so a monkeypatched module attribute is what they run.
+
+forks = pytest.mark.skipif(not ahmsa.workers.openblas_thread_controls(),
+                           reason="no OpenBLAS thread setter: samples run in-process")
+
+
+@pytest.fixture
+def four_cpus(monkeypatch):
+    """extract-flow runs one worker per usable CPU, capped by AHMSA_THREADS;
+    with four, the cap sets the count on any host."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+
+
+def _failing_dataset(dataset, root: Path) -> Path:
+    """The test dataset with one truncated PGM (s02_02, a read failure) and
+    one landmark outside the map (s01_01, a failure in the feature map)."""
+    shutil.copytree(dataset / "images", root / "images")
+    apex = root / "images" / "s02_02_apex.pgm"
+    apex.write_bytes(apex.read_bytes()[:-100])
+    lines = (dataset / "manifest.csv").read_text().splitlines()
+    fields = lines[2].split(",")
+    assert fields[2] == "s01_01"
+    fields[5] = "500"  # lx_eye
+    lines[2] = ",".join(fields)
+    (root / "manifest.csv").write_text("\n".join(lines) + "\n")
+    return root / "manifest.csv"
+
+
+@pytest.mark.parametrize("workers", ["2", "3"])
+def test_extract_flow_workers_match_one_process(dataset, tmp_path, capsys, monkeypatch,
+                                                four_cpus, workers):
+    manifest = _failing_dataset(dataset, tmp_path)
+    cfg = write_config(tmp_path)
+    runs = []
+    for sub, threads in (("one", "1"), ("many", workers)):
+        monkeypatch.setenv("AHMSA_THREADS", threads)
+        code = run_cli("extract-flow", "--manifest", str(manifest),
+                       "--out-dir", str(tmp_path / sub), "--config", str(cfg))
+        assert code == 1
+        runs.append((_tree_hash(tmp_path / sub), capsys.readouterr().err.splitlines()))
+    assert runs[0] == runs[1]
+    err = runs[1][1]
+    assert "Traceback" not in "\n".join(err)
+    assert err[1].startswith("[2/6] s01_01 FAILED: landmark left_eye at (500, ")
+    assert err[5].startswith("[6/6] s02_02 FAILED: ") and "truncated pixel data" in err[5]
+    assert err[6] == "2/6 samples failed"
+    assert len(list((tmp_path / "many").glob("*.flow"))) == 4
+
+
+@forks
+def test_extract_flow_reads_and_writes_in_the_parent(dataset, tmp_path, capsys,
+                                                     monkeypatch, four_cpus):
+    calls = tmp_path / "calls.txt"
+
+    def recorded(name, original):
+        def call(*args, **kwargs):
+            with open(calls, "a") as f:  # a worker's list would stay in the worker
+                f.write(f"{name} {os.getpid()}\n")
+            return original(*args, **kwargs)
+        return call
+
+    for name in ("read_pgm", "write_flow_map", "extract_feature_map"):
+        monkeypatch.setattr(ahmsa.cli, name, recorded(name, getattr(ahmsa.cli, name)))
+    monkeypatch.setenv("AHMSA_THREADS", "2")
+    assert run_cli("extract-flow", "--manifest", str(dataset / "manifest.csv"),
+                   "--out-dir", str(tmp_path / "flow"),
+                   "--config", str(write_config(tmp_path))) == 0
+    capsys.readouterr()
+    pids: dict[str, set[int]] = {}
+    for line in calls.read_text().splitlines():
+        name, pid = line.split()
+        pids.setdefault(name, set()).add(int(pid))
+    assert pids["read_pgm"] == pids["write_flow_map"] == {os.getpid()}
+    assert len(pids["extract_feature_map"]) == 2
+    assert os.getpid() not in pids["extract_feature_map"]
+
+
+def test_extract_flow_unreadable_frames_fork_no_worker(dataset, tmp_path, capsys,
+                                                       monkeypatch, four_cpus):
+    def unreadable(path):
+        raise ahmsa.cli.ValidationError(f"{path}: unreadable")
+
+    def no_fork():
+        raise AssertionError("forked a worker")
+
+    monkeypatch.setattr(ahmsa.cli, "read_pgm", unreadable)
+    monkeypatch.setattr(os, "fork", no_fork)
+    monkeypatch.setenv("AHMSA_THREADS", "2")
+    code = run_cli("extract-flow", "--manifest", str(dataset / "manifest.csv"),
+                   "--out-dir", str(tmp_path / "flow"))
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert [line.split(" FAILED: ")[0] for line in err[:6]] == [
+        f"[{i}/6] s0{1 + (i - 1) // 3}_0{(i - 1) % 3}" for i in range(1, 7)]
+    assert err[6] == "6/6 samples failed"
+
+
+@forks
+def test_extract_flow_worker_death_exit_1(dataset, tmp_path, capsys, monkeypatch,
+                                          four_cpus):
+    from ahmsa.data import load_manifest
+
+    doomed = ahmsa.cli.read_pgm(load_manifest(dataset / "manifest.csv").samples[1].apex_path)
+
+    def die_on_second_sample(onset, apex, landmarks, **kwargs):
+        if (apex == doomed).all():
+            os._exit(7)
+        time.sleep(60)  # the parent must not wait for the surviving workers
+
+    monkeypatch.setattr(ahmsa.cli, "extract_feature_map", die_on_second_sample)
+    monkeypatch.setenv("AHMSA_THREADS", "2")
+    started = time.monotonic()
+    code = run_cli("extract-flow", "--manifest", str(dataset / "manifest.csv"),
+                   "--out-dir", str(tmp_path / "flow"))
+    assert time.monotonic() - started < 10
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: sample 's01_01'") and "exit code 7" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["0", "-3", "x"])
+def test_extract_flow_rejects_bad_thread_cap_before_the_manifest(tmp_path, capsys,
+                                                                  monkeypatch, value):
+    monkeypatch.setenv("AHMSA_THREADS", value)
+    code = run_cli("extract-flow", "--manifest", str(tmp_path / "missing.csv"),
+                   "--out-dir", str(tmp_path / "flow"))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "AHMSA_THREADS" in err
+    assert "Traceback" not in err
+
+
+def test_flow_file_name_collision_rejected(dataset, tmp_path, capsys, monkeypatch):
+    """db a / subject b / sample c_d and db a_b / subject c / sample d would
+    both write a_b_c_d.flow."""
+    (tmp_path / "images").symlink_to(dataset / "images")
+    lines = (dataset / "manifest.csv").read_text().splitlines()
+    for row, ids in ((1, ("a", "b", "c_d")), (4, ("a_b", "c", "d"))):
+        fields = lines[row].split(",")
+        fields[:3] = ids
+        lines[row] = ",".join(fields)
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text("\n".join(lines) + "\n")
+
+    def no_read(path):
+        raise AssertionError("read a frame")
+
+    monkeypatch.setattr(ahmsa.cli, "read_pgm", no_read)
+    for argv in (["extract-flow", "--out-dir", str(tmp_path / "flow")],
+                 ["loso", "--flow-dir", str(tmp_path / "flow"),
+                  "--out-dir", str(tmp_path / "out")]):
+        assert run_cli(*argv, "--manifest", str(manifest)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: samples 'c_d' ") and "and 'd' " in err
+        assert "a_b_c_d.flow" in err and "Traceback" not in err
+    assert not list((tmp_path / "flow").glob("*.flow"))
+    assert not (tmp_path / "out").exists()
+
+
 # -- loso --------------------------------------------------------------------------
 
 
@@ -288,7 +451,7 @@ def test_loso_parallel_folds_match_sequential(dataset, tmp_path, capsys, monkeyp
     assert results[0] == results[1] == results[2]
 
 
-@pytest.mark.skipif(not ahmsa.train.openblas_thread_controls(),
+@pytest.mark.skipif(not ahmsa.workers.openblas_thread_controls(),
                     reason="no OpenBLAS thread setter: folds run in-process")
 def test_loso_worker_death_exit_1(dataset, tmp_path, capsys, monkeypatch):
     def die(fold_index, subject, *args):

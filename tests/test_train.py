@@ -16,10 +16,10 @@ from ahmsa.train import (
     TrainConfig,
     desk_scale_config,
     evaluate,
-    openblas_thread_controls,
     run_loso,
     train_fold,
 )
+from ahmsa.workers import openblas_thread_controls
 
 from reference import reference_train_fold
 
@@ -264,6 +264,13 @@ def test_run_loso_parallel_equals_sequential(synthetic_setup):
                             parallel_folds=workers)
         assert sequential.pooled == parallel.pooled
         assert sequential.to_json_dict() == parallel.to_json_dict()
+
+
+@pytest.mark.parametrize("workers", [0, -2])
+def test_run_loso_rejects_fold_counts_below_one(synthetic_setup, workers):
+    manifest, maps = synthetic_setup
+    with pytest.raises(ConfigError, match="worker count"):
+        run_loso(manifest, maps, small_model(), FAST_TRAIN, parallel_folds=workers)
 
 
 # -- forked fold workers ------------------------------------------------------------
