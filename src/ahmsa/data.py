@@ -10,10 +10,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import ValidationError, is_int
-from .optflow import LandmarkSet, write_pgm
+from .optflow import LandmarkSet, _bilinear_sample, _gaussian_blur, write_pgm
 
 CLASS_NAMES = ("negative", "positive", "surprise")
 N_CLASSES = 3
@@ -305,8 +304,7 @@ _RAW_LABELS = {
 
 
 def _smooth_field(rng: np.random.Generator, size: int, sigma: float) -> np.ndarray:
-    field_ = ndimage.gaussian_filter(rng.standard_normal((size, size)), sigma,
-                                     mode="nearest")
+    field_ = _gaussian_blur(rng.standard_normal((size, size)), sigma)
     return field_ / max(field_.std(), 1e-9)
 
 
@@ -400,8 +398,7 @@ def gen_synthetic(out_dir, seed: int = 42, n_subjects: int = 6,
 
             magnitude = rng.uniform(1.0, 3.0)
             du, dv = _class_displacement(class_id, landmarks, image_size, magnitude)
-            apex = ndimage.map_coordinates(onset, [yy - dv, xx - du],
-                                           order=1, mode="nearest")
+            apex = _bilinear_sample(onset, yy - dv, xx - du)
             apex = np.clip(apex, 0.0, 1.0)
 
             sample_id = f"{subject}_{k:02d}"

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import DimensionError, ValidationError, is_finite_real, is_int
 
@@ -154,6 +153,84 @@ def _resize_bilinear(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     return top * (1 - wy) + bottom * wy
 
 
+def _gaussian_blur(img: np.ndarray, sigma: float) -> np.ndarray:
+    """Separable Gaussian blur (sigma > 0) of a 2-D float64 image, edges
+    replicated.
+
+    The result is bit-identical to ``scipy.ndimage.gaussian_filter(img, sigma,
+    mode="nearest")``: the same kernel (truncated at 4 sigma), rows then
+    columns, and each output summed as ``x[i]*w[c]`` plus
+    ``(x[i-j] + x[i+j]) * w[c-j]`` for j from the radius down to 1.
+    """
+    radius = int(4.0 * float(sigma) + 0.5)
+    x = np.arange(-radius, radius + 1)
+    phi = np.exp(-0.5 / (sigma * sigma) * x ** 2)
+    weights = (phi / phi.sum())[::-1]
+    h, w = img.shape
+    out = img
+    for axis in (0, 1):
+        # the columns pass runs on transposed views, so every array keeps the
+        # row-major layout of the image
+        if axis == 0:
+            src, pad = out, np.empty((h + 2 * radius, w))
+        else:
+            src, pad = out.T, np.empty((h, w + 2 * radius)).T
+        n = src.shape[0]
+        pad[:radius] = src[0]
+        pad[radius:radius + n] = src
+        pad[radius + n:] = src[-1]
+        # taps[k] holds x[i - radius + k] at output position i
+        taps = [pad[k:k + n] for k in range(2 * radius + 1)]
+        acc = taps[radius] * weights[radius]
+        pair = np.empty_like(acc)
+        for j in range(radius, 0, -1):
+            np.add(taps[radius - j], taps[radius + j], out=pair)
+            pair *= weights[radius - j]
+            acc += pair
+        out = acc if axis == 0 else acc.T
+    return out
+
+
+def _bilinear_sample(images: np.ndarray, ys: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Sample images[..., H, W] at the points (ys, xs), bilinearly, with the
+    coordinates clamped to the image.
+
+    The result is bit-identical to ``scipy.ndimage.map_coordinates(image,
+    [ys, xs], order=1, mode="nearest")`` for each image: weights
+    ``w0 = 1 - t``, ``w1 = 1 - w0`` from the unclamped floor, corner indices
+    clamped, and ``v00*wy0*wx0 + v01*wy0*wx1 + v10*wy1*wx0 + v11*wy1*wx1``
+    summed left to right.  The indices and weights are computed once for all
+    images.
+    """
+    h, w = images.shape[-2:]
+    flat = images.reshape(*images.shape[:-2], h * w)
+    corners, weights = [], []
+    for coord, size in ((ys, h), (xs, w)):
+        start = np.floor(coord)
+        w0 = coord - start
+        np.subtract(1.0, w0, out=w0)
+        weights.append((w0, 1.0 - w0))
+        corners.append((np.clip(start, 0, size - 1).astype(np.intp),
+                        np.clip(start + 1.0, 0, size - 1).astype(np.intp)))
+    (y0, y1), (x0, x1) = corners
+    (wy0, wy1), (wx0, wx1) = weights
+    y0 *= w
+    y1 *= w
+    out = term = None
+    for row, wy in ((y0, wy0), (y1, wy1)):
+        for col, wx in ((x0, wx0), (x1, wx1)):
+            term = np.take(flat, row + col, axis=-1, out=term)
+            term *= wy
+            term *= wx
+            if out is None:
+                out, term = term, None
+            else:
+                out += term
+    # scipy starts its sum at 0.0, which turns an all -0.0 sum into +0.0
+    out += 0.0
+    return out
+
+
 def _pyramid(img: np.ndarray, scale: float, max_levels: int | None) -> list[np.ndarray]:
     levels = [img]
     # antialias strength tied to the decimation ratio
@@ -163,7 +240,7 @@ def _pyramid(img: np.ndarray, scale: float, max_levels: int | None) -> list[np.n
         nh, nw = int(round(h * scale)), int(round(w * scale))
         if min(nh, nw) < MIN_PYRAMID_SIDE:
             break
-        smoothed = ndimage.gaussian_filter(levels[-1], sigma, mode="nearest")
+        smoothed = _gaussian_blur(levels[-1], sigma)
         levels.append(_resize_bilinear(smoothed, nh, nw))
     return levels
 
@@ -191,6 +268,8 @@ def _tvl1_level(i0: np.ndarray, i1: np.ndarray, u: np.ndarray, v: np.ndarray,
     yy, xx = np.meshgrid(np.arange(h, dtype=np.float64),
                          np.arange(w, dtype=np.float64), indexing="ij")
     i1y, i1x = np.gradient(i1)
+    images = np.stack([i1, i1x, i1y])
+    del i1x, i1y
     uv = np.stack([u, v])
     p = np.zeros((2, 2, h, w))
     # forward differences of uv; the last column (x) and row (y) stay 0
@@ -199,13 +278,9 @@ def _tvl1_level(i0: np.ndarray, i1: np.ndarray, u: np.ndarray, v: np.ndarray,
     taut = params.tau / params.theta
 
     for _ in range(params.n_warps):
-        coords = np.stack([yy + uv[1], xx + uv[0]])
-        rho_c = ndimage.map_coordinates(i1, coords, order=1, mode="nearest")
-        grad = np.stack([
-            ndimage.map_coordinates(i1x, coords, order=1, mode="nearest"),
-            ndimage.map_coordinates(i1y, coords, order=1, mode="nearest"),
-        ])
-        del coords
+        warped = _bilinear_sample(images, yy + uv[1], xx + uv[0])
+        rho_c, grad = warped[0], warped[1:]
+        del warped  # the views keep it alive until the del at the end of the warp
         grad_sq = grad[0] ** 2 + grad[1] ** 2
         lo = -l_t * grad_sq
         hi = l_t * grad_sq

@@ -2,13 +2,20 @@ import hashlib
 import json
 import os
 import shutil
+import subprocess
+import sys
+import textwrap
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from scipy import ndimage
 
+import ahmsa.data
+import ahmsa.optflow
 import ahmsa.train
 import ahmsa.workers
 from ahmsa.cli import build_run_config, confusion_to_csv, confusion_to_svg, main
@@ -76,6 +83,33 @@ def test_unknown_subcommand_exits_2():
     assert exc.value.code == 2
 
 
+def test_program_never_imports_scipy(tmp_path):
+    # a fresh interpreter: this one has scipy loaded by the tests' oracles
+    script = textwrap.dedent("""
+        import sys
+        from pathlib import Path
+
+        import ahmsa, ahmsa.cli
+        from ahmsa.data import gen_synthetic
+        from ahmsa.optflow import extract_feature_map, read_pgm
+
+        manifest, _ = gen_synthetic(Path(sys.argv[1]), seed=3, n_subjects=2,
+                                    samples_per_subject=3, image_size=32)
+        sample = manifest.samples[0]
+        extract_feature_map(read_pgm(sample.onset_path), read_pgm(sample.apex_path),
+                            sample.landmarks, region_px=16)
+        print(sorted(name for name in sys.modules
+                     if name == "scipy" or name.startswith("scipy.")))
+    """)
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([str(Path(ahmsa.__file__).parents[1]),
+                                           os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
 # -- gen-synthetic -------------------------------------------------------------
 
 
@@ -127,6 +161,35 @@ def test_extract_flow_deterministic(dataset, tmp_path):
         run_cli("extract-flow", "--manifest", str(dataset / "manifest.csv"),
                 "--out-dir", str(tmp_path / sub), "--config", str(cfg))
     assert _tree_hash(tmp_path / "f1") == _tree_hash(tmp_path / "f2")
+
+
+def _scipy_blur(img, sigma):
+    return ndimage.gaussian_filter(img, sigma, mode="nearest")
+
+
+def _scipy_sample(images, ys, xs):
+    planes = images.reshape(-1, *images.shape[-2:])
+    warped = [ndimage.map_coordinates(p, [ys, xs], order=1, mode="nearest") for p in planes]
+    return np.stack(warped).reshape(images.shape[:-2] + ys.shape)
+
+
+@pytest.mark.parametrize("size", [64, 128])
+def test_numpy_blur_and_warp_keep_scipy_bytes(tmp_path, monkeypatch, size):
+    # every synthetic PGM and .flow file equals the scipy.ndimage run's
+    def run(root: Path) -> str:
+        assert run_cli("gen-synthetic", "--out-dir", str(root), "--seed", "8",
+                       "--subjects", "2", "--samples-per-subject", "3",
+                       "--image-size", str(size)) == 0
+        assert run_cli("extract-flow", "--manifest", str(root / "manifest.csv"),
+                       "--out-dir", str(root / "flow")) == 0
+        assert len(list((root / "flow").glob("*.flow"))) == 6
+        return _tree_hash(root)
+
+    numpy_tree = run(tmp_path / "numpy")
+    for module in (ahmsa.optflow, ahmsa.data):
+        monkeypatch.setattr(module, "_gaussian_blur", _scipy_blur)
+        monkeypatch.setattr(module, "_bilinear_sample", _scipy_sample)
+    assert run(tmp_path / "scipy") == numpy_tree
 
 
 def test_extract_flow_missing_apex_names_sample(dataset, tmp_path, capsys):

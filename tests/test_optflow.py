@@ -107,6 +107,111 @@ def test_tvl1_deterministic():
     assert a.v.tobytes() == b.v.tobytes()
 
 
+# -- numpy blur and warp against scipy.ndimage ----------------------------------
+# scipy is the oracle: the helpers must give its bytes, signs of zero included.
+
+HELPER_SHAPES = [(1, 1), (1, 7), (7, 1), (2, 2), (5, 9), (16, 16), (31, 17), (70, 70)]
+# 1e-3 gives radius 0; 0.625 gives 4 * sigma = 2.5, which rounds up to radius 3;
+# 20.0 gives radius 80, wider than every image here
+BLUR_SIGMAS = [1e-3, 0.625, 0.6 * np.sqrt(3.0), 2.0, 6.0, 20.0]
+WARP_POINTS = ["random", "integer", "far edge", "negative zero", "far outside"]
+
+PARITY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+
+def _scipy_blur(img, sigma):
+    return ndimage.gaussian_filter(img, sigma, mode="nearest")
+
+
+def _scipy_warp(img, ys, xs):
+    return ndimage.map_coordinates(img, [ys, xs], order=1, mode="nearest")
+
+
+def _helper_image(shape, seed):
+    """Values of both signs, with some exact zeros of either sign."""
+    rng = np.random.default_rng(seed)
+    img = rng.uniform(-255.0, 255.0, shape)
+    img[rng.random(shape) < 0.1] = 0.0
+    img[rng.random(shape) < 0.1] = -0.0
+    return img
+
+
+def _warp_points(kind, h, w, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        return rng.uniform(-3.0, h + 2.0, (h, w)), rng.uniform(-3.0, w + 2.0, (h, w))
+    if kind == "integer":
+        return (rng.integers(-2, h + 2, (h, w)).astype(np.float64),
+                rng.integers(-2, w + 2, (h, w)).astype(np.float64))
+    if kind == "far edge":
+        return np.full((h, w), h - 1.0), np.full((h, w), w - 1.0)
+    if kind == "negative zero":
+        return np.full((h, w), -0.0), np.full((h, w), -0.0)
+    return (rng.choice([-200.5, -200.0, h + 199.25, h + 200.0], (h, w)),
+            rng.choice([-201.75, -200.0, w + 199.5, w + 200.0], (h, w)))
+
+
+@pytest.mark.parametrize("shape", HELPER_SHAPES)
+@pytest.mark.parametrize("sigma", BLUR_SIGMAS)
+def test_gaussian_blur_matches_scipy(shape, sigma):
+    img = _helper_image(shape, seed=shape[0] * 100 + shape[1])
+    got = optflow._gaussian_blur(img, sigma)
+    assert _same_bits([got], [_scipy_blur(img, sigma)])
+    assert got.flags.c_contiguous
+
+
+@pytest.mark.parametrize("shape", HELPER_SHAPES)
+@pytest.mark.parametrize("kind", WARP_POINTS)
+def test_bilinear_sample_matches_scipy(shape, kind):
+    h, w = shape
+    img = _helper_image(shape, seed=h * 100 + w)
+    ys, xs = _warp_points(kind, h, w, seed=h + w)
+    assert _same_bits([optflow._bilinear_sample(img, ys, xs)], [_scipy_warp(img, ys, xs)])
+    # one call over stacked images equals one scipy call per image
+    images = np.stack([img, -img, 0.5 * img])
+    got = optflow._bilinear_sample(images, ys, xs)
+    assert _same_bits(got, [_scipy_warp(image, ys, xs) for image in images])
+
+
+def test_bilinear_sample_of_negative_zeros_is_positive_zero():
+    # scipy starts each sum at +0.0, so all -0.0 corners give +0.0
+    img = np.full((4, 5), -0.0)
+    ys, xs = _warp_points("random", 4, 5, seed=3)
+    got = optflow._bilinear_sample(img, ys, xs)
+    assert _same_bits([got], [_scipy_warp(img, ys, xs)])
+    assert not np.signbit(got).any()
+
+
+@PARITY
+@given(h=st.integers(1, 24), w=st.integers(1, 24), seed=st.integers(0, 2 ** 32 - 1),
+       sigma=st.floats(1e-4, 12.0))
+def test_gaussian_blur_matches_scipy_on_random_cases(h, w, seed, sigma):
+    img = _helper_image((h, w), seed)
+    assert _same_bits([optflow._gaussian_blur(img, sigma)], [_scipy_blur(img, sigma)])
+
+
+@PARITY
+@given(h=st.integers(1, 24), w=st.integers(1, 24), seed=st.integers(0, 2 ** 32 - 1),
+       points=st.lists(st.tuples(st.floats(-250.0, 250.0), st.floats(-250.0, 250.0)),
+                       min_size=1, max_size=40))
+def test_bilinear_sample_matches_scipy_on_random_cases(h, w, seed, points):
+    img = _helper_image((h, w), seed)
+    ys, xs = (np.array(c) for c in zip(*points))
+    assert _same_bits([optflow._bilinear_sample(img, ys, xs)], [_scipy_warp(img, ys, xs)])
+
+
+@pytest.mark.parametrize("size,n_levels", [(48, 3), (64, 4), (128, 5)])
+def test_pyramid_matches_scipy_reference(size, n_levels):
+    img = smooth_texture(5, n=size) * 255.0
+    got = optflow._pyramid(img, 0.5, None)
+    sigma = 0.6 * np.sqrt(1.0 / 0.5 ** 2 - 1.0)
+    want = [img]
+    for level in got[1:]:
+        want.append(optflow._resize_bilinear(_scipy_blur(want[-1], sigma), *level.shape))
+    assert len(got) == n_levels
+    assert _same_bits(got, want)
+
+
 # -- stacked-field solver against the per-field scheme -------------------------
 
 

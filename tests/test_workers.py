@@ -4,6 +4,7 @@ import multiprocessing
 import os
 import time
 
+import numpy as np
 import pytest
 
 import ahmsa.workers as workers_module
@@ -80,6 +81,20 @@ def test_pulls_tasks_lazily_and_ends_its_workers_when_closed():
     results.close()
     assert time.monotonic() - started < 10
     assert not multiprocessing.active_children()
+
+
+def test_finds_the_thread_setter_of_an_openblas_numpy():
+    # every `forks` test skips without a setter, so a broken lookup must fail here
+    try:
+        config = np.show_config(mode="dicts")
+    except TypeError:
+        pytest.skip("this numpy cannot report its build configuration")
+    blas = config.get("Build Dependencies", {}).get("blas", {})
+    if "openblas" not in str(blas.get("name", "")).lower():
+        pytest.skip(f"numpy is built on {blas.get('name')!r}, not OpenBLAS")
+    controls = openblas_thread_controls()
+    assert controls, f"numpy reports {blas.get('name')!r} but no thread setter was found"
+    assert all(get() >= 1 for _, get in controls)
 
 
 def test_runs_in_process_without_a_thread_setter(monkeypatch, caplog):
