@@ -110,6 +110,8 @@ def load_manifest(path, check_paths: bool = True) -> DatasetManifest:
     samples: list[Sample] = []
     problems: list[str] = []
     seen_ids: dict[str, int] = {}
+    subject_dbs: dict[str, tuple[str, int]] = {}  # subject -> (database, line)
+    clashes: set[tuple[str, str]] = set()
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -142,6 +144,14 @@ def load_manifest(path, check_paths: bool = True) -> DatasetManifest:
             )
             continue
         seen_ids[sample_id] = lineno
+        first_db, first_line = subject_dbs.setdefault(subject, (db, lineno))
+        if first_db != db and (subject, db) not in clashes:
+            clashes.add((subject, db))
+            # LOSO holds out a subject id, so this would merge two people
+            problems.append(
+                f"line {lineno}: subject {subject!r} of database {db!r} is also "
+                f"a subject of database {first_db!r} (line {first_line}); "
+                "subject ids must be unique across databases")
         onset_path = (base / onset) if not Path(onset).is_absolute() else Path(onset)
         apex_path = (base / apex) if not Path(apex).is_absolute() else Path(apex)
         if check_paths:

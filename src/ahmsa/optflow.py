@@ -245,42 +245,42 @@ def _pyramid(img: np.ndarray, scale: float, max_levels: int | None) -> list[np.n
     return levels
 
 
-def _divergence(p: np.ndarray) -> np.ndarray:
-    """Backward-difference divergence of duals p[..., 2 (x, y), H, W]."""
-    px, py = p[..., 0, :, :], p[..., 1, :, :]
-    div = np.empty_like(px)
-    div[..., :, 0] = px[..., :, 0]
-    div[..., :, 1:] = px[..., :, 1:] - px[..., :, :-1]
-    div[..., 0, :] += py[..., 0, :]
-    div[..., 1:, :] += py[..., 1:, :] - py[..., :-1, :]
-    return div
-
-
 def _tvl1_level(i0: np.ndarray, i1: np.ndarray, u: np.ndarray, v: np.ndarray,
                 params: TVL1Params) -> tuple[np.ndarray, np.ndarray]:
     """Warps and inner iterations of one pyramid level.
 
-    u and v are solved as one stacked field uv[2, H, W] with duals
-    p[2 (u, v), 2 (x, y), H, W]; every element sees the same float operations
-    in the same order as two separate per-field solves.
+    u and v are solved as one stacked field uv[2, H*W], flattened row-major,
+    with duals p = buf[:, :, W:] in a zeroed buf[2 (u, v), 2 (x, y), W + H*W];
+    every element sees the same float operations in the same order as two
+    separate per-field solves on 2-D slices.  The divergence's backward
+    differences are flat shifts by 1 (x) and W (y): before a first-column
+    x-dual sits a leading zero or the last-column x-dual of the row above,
+    which never leaves +0.0, and before the first row of y-duals sit W
+    leading zeros; ``a - 0.0`` is ``a``, bits included.
     """
     h, w = i0.shape
-    yy, xx = np.meshgrid(np.arange(h, dtype=np.float64),
-                         np.arange(w, dtype=np.float64), indexing="ij")
+    n = h * w
+    ys, xs = np.indices((h, w), dtype=np.float64).reshape(2, n)
     i1y, i1x = np.gradient(i1)
     images = np.stack([i1, i1x, i1y])
     del i1x, i1y
-    uv = np.stack([u, v])
-    p = np.zeros((2, 2, h, w))
-    # forward differences of uv; the last column (x) and row (y) stay 0
-    g = np.zeros_like(p)
+    uv = np.stack([u, v]).reshape(2, n)
+    buf = np.zeros((2, 2, w + n))
+    p = buf[:, :, w:]
+    px, px_left = buf[:, 0, w:], buf[:, 0, w - 1:-1]
+    py, py_up = buf[:, 1, w:], buf[:, 1, :-w]
+    # forward differences of uv; the last column (x, zeroed after each flat
+    # shift) and the last row (y, never written) are 0
+    g = np.zeros((2, 2, n))
+    gx, gy = g[:, 0], g[:, 1]
     l_t = params.lambda_weight * params.theta
     taut = params.tau / params.theta
 
     for _ in range(params.n_warps):
-        warped = _bilinear_sample(images, yy + uv[1], xx + uv[0])
+        warped = _bilinear_sample(images, ys + uv[1], xs + uv[0])
         rho_c, grad = warped[0], warped[1:]
         del warped  # the views keep it alive until the del at the end of the warp
+        ngrad = -grad
         grad_sq = grad[0] ** 2 + grad[1] ** 2
         lo = -l_t * grad_sq
         hi = l_t * grad_sq
@@ -289,7 +289,7 @@ def _tvl1_level(i0: np.ndarray, i1: np.ndarray, u: np.ndarray, v: np.ndarray,
         # residual linearized at the warp point
         rho_c -= grad[0] * uv[0]
         rho_c -= grad[1] * uv[1]
-        rho_c -= i0
+        rho_c -= i0.reshape(n)
 
         for _ in range(params.n_inner_iters):
             d = grad * uv
@@ -297,27 +297,31 @@ def _tvl1_level(i0: np.ndarray, i1: np.ndarray, u: np.ndarray, v: np.ndarray,
             rho += d[1]
             # pointwise data-term proximal step; lo <= hi, so the two clamps
             # never overlap
-            np.multiply(-rho, grad, out=d)
+            np.multiply(rho, ngrad, out=d)
             d /= denom
             np.multiply(grad, l_t, out=d, where=rho < lo)
             np.multiply(grad, -l_t, out=d, where=rho > hi)
             # TV proximal via the dual variables
             uv = uv + d  # not in place: `uv += d` measured ~1.4x slower at 128 px
             del d, rho  # dead until the next iteration; keeps the peak down
-            uv += params.theta * _divergence(p)
-            np.subtract(uv[:, :, 1:], uv[:, :, :-1], out=g[:, 0, :, :-1])
-            np.subtract(uv[:, 1:, :], uv[:, :-1, :], out=g[:, 1, :-1, :])
-            norm = np.square(g[:, 0])
-            norm += np.square(g[:, 1])
+            div = px - px_left
+            div += py - py_up
+            uv += params.theta * div
+            np.subtract(uv[:, 1:], uv[:, :-1], out=gx[:, :-1])
+            gx[:, w - 1::w] = 0.0
+            np.subtract(uv[:, w:], uv[:, :-w], out=gy[:, :-w])
+            norm = np.square(g)
+            norm = np.add(norm[:, 0], norm[:, 1], out=norm[:, 0])
             np.sqrt(norm, out=norm)
             norm *= taut
             norm += 1.0
-            p += taut * g
+            g *= taut  # the zero column and row stay +0.0
+            p += g
             p /= norm[:, None]
         # free this warp's linearization before the next one is built
-        del grad, lo, hi, denom, rho_c
+        del grad, ngrad, lo, hi, denom, rho_c
 
-    return uv[0], uv[1]
+    return uv[0].reshape(h, w), uv[1].reshape(h, w)
 
 
 def tvl1_flow(onset: np.ndarray, apex: np.ndarray,

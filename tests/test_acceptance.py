@@ -58,6 +58,7 @@ def t64(data, requires_grad=False):
 # -- criterion: gradient suite ---------------------------------------------------
 
 
+@pytest.mark.slow
 def test_acceptance_gradient_suite():
     started = time.time()
     step = 1e-3
@@ -308,6 +309,7 @@ def test_acceptance_end_to_end_determinism(tmp_path):
 # -- criterion: end-to-end synthetic LOSO ----------------------------------------------------
 
 
+@pytest.mark.slow
 def test_acceptance_synthetic_loso(tmp_path):
     started = time.time()
     data_dir = tmp_path / "data"

@@ -91,6 +91,21 @@ def test_load_manifest_duplicate_sample_id(tmp_path):
         load_manifest(_write(tmp_path, rows), check_paths=False)
 
 
+def test_load_manifest_subject_shared_across_databases(tmp_path):
+    # LOSO folds key on the subject id alone, so one id in two databases
+    # would merge two people into one fold
+    rows = [_row(db="dbA", subject="s01", sample="a"),
+            _row(db="dbA", subject="s02", sample="b"),
+            _row(db="dbB", subject="s01", sample="c"),
+            _row(db="dbB", subject="s01", sample="d")]
+    with pytest.raises(ValidationError) as err:
+        load_manifest(_write(tmp_path, rows), check_paths=False)
+    msg = str(err.value)
+    assert "line 4: subject 's01' of database 'dbB'" in msg
+    assert "database 'dbA' (line 2)" in msg
+    assert "line 5" not in msg  # one problem per clash, at its first line
+
+
 def test_load_manifest_comma_in_path_rejected(tmp_path):
     rows = [_row(onset="weird,name.pgm")]
     with pytest.raises(ValidationError, match="fields"):

@@ -885,6 +885,7 @@ def test_default_batch_tape_size_pinned():
 # -- end-to-end gradient check --------------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_end_to_end_gradients_match_finite_differences():
     # seed chosen so no relu/argmax kink falls inside the 1e-3 FD window
     cfg = tiny_config()

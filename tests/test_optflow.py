@@ -337,8 +337,26 @@ def test_tvl1_level_matches_reference_on_flat_image(apex_level):
     assert _same_bits((got_u, got_v), (want_u, want_v))
 
 
-def test_tvl1_flow_file_bytes_match_reference(tmp_path):
-    onset, apex = _textured_pair(64, 64, -1.0, 0.5)
+# 2..20 px grids include 2-wide and 2-tall ones, where the zeroed last
+# x-column and the leading zeros of the flat dual buffer meet every edge
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(h=st.integers(2, 20), w=st.integers(2, 20), seed=st.integers(0, 2 ** 32 - 1),
+       n_warps=st.integers(1, 2), n_inner_iters=st.integers(1, 4))
+def test_tvl1_level_matches_reference_on_random_cases(h, w, seed, n_warps,
+                                                      n_inner_iters):
+    rng = np.random.default_rng(seed)
+    i0, i1 = rng.uniform(0.0, 255.0, (2, h, w))
+    magnitude = rng.uniform(0.01, 2.0, (2, h, w))
+    u0, v0 = np.where(rng.random((2, h, w)) < 0.5, -magnitude, magnitude)
+    params = TVL1Params(n_warps=n_warps, n_inner_iters=n_inner_iters)
+    got = optflow._tvl1_level(i0, i1, u0, v0, params)
+    assert _same_bits(got, _reference_tvl1_level(i0, i1, u0, v0, params))
+
+
+@pytest.mark.parametrize("dims", [(64, 64), (128, 128), (96, 64)],
+                         ids=lambda dims: f"{dims[0]}x{dims[1]}")
+def test_tvl1_flow_file_bytes_match_reference(tmp_path, dims):
+    onset, apex = _textured_pair(*dims, -1.0, 0.5)
     params = TVL1Params()
     flow = tvl1_flow(onset, apex, params)
     ref = FlowField(*_reference_tvl1_flow(onset, apex, params))
