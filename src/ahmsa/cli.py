@@ -11,14 +11,17 @@ Configuration is a flat JSON file of dotted keys ("model.heads": 3) merged
 with command-line overrides; every resolved value is echoed into
 metrics.json so a run can be reproduced from its own output.
 
-Exit codes: 0 success, 1 runtime failure, 2 usage/config error.
+Exit codes: 0 success, 1 runtime failure, 2 usage/config error, 130/143
+interrupted by SIGINT/SIGTERM (the worker processes are ended first).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import signal
 import sys
+import threading
 from collections.abc import Iterator
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -548,9 +551,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _Terminated(BaseException):
+    """A SIGTERM, raised where the program runs, so that the ``finally``
+    blocks on its way out (``forked_map``'s among them) end the workers."""
+
+
+def _raise_terminated(signum, frame):
+    raise _Terminated
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    previous = (signal.signal(signal.SIGTERM, _raise_terminated)
+                if threading.current_thread() is threading.main_thread() else None)
     try:
         return args.func(args)
     except ConfigError as exc:
@@ -562,6 +576,12 @@ def main(argv: list[str] | None = None) -> int:
     except MemoryError as exc:
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
+    except (KeyboardInterrupt, _Terminated) as exc:
+        print("interrupted", file=sys.stderr)
+        return 143 if isinstance(exc, _Terminated) else 130
+    finally:
+        if previous is not None:
+            signal.signal(signal.SIGTERM, previous)
 
 
 def entrypoint() -> None:

@@ -13,6 +13,7 @@ pixels, pointing from the onset frame to the apex frame.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -245,6 +246,23 @@ def _pyramid(img: np.ndarray, scale: float, max_levels: int | None) -> list[np.n
     return levels
 
 
+def _arena(*specs: tuple[tuple[int, ...], type]) -> list[np.ndarray]:
+    """Zeroed arrays of the given (shape, dtype), carved from one buffer.
+
+    Array k starts at byte k * 576 (nine cache lines) modulo 4096 of a
+    page-aligned base: 64-byte aligned, and no two at the same offset within a
+    page, where a load can wait on a store to another of them (4K aliasing).
+    """
+    starts, end = [], 0
+    for k, (shape, dtype) in enumerate(specs):
+        starts.append(end + (k * 576 - end) % 4096)
+        end = starts[-1] + math.prod(shape) * np.dtype(dtype).itemsize
+    raw = np.zeros(end + 4096, dtype=np.uint8)
+    base = -raw.ctypes.data % 4096
+    return [np.frombuffer(raw, dtype, math.prod(shape), base + start).reshape(shape)
+            for start, (shape, dtype) in zip(starts, specs)]
+
+
 def _tvl1_level(i0: np.ndarray, i1: np.ndarray, u: np.ndarray, v: np.ndarray,
                 params: TVL1Params) -> tuple[np.ndarray, np.ndarray]:
     """Warps and inner iterations of one pyramid level.
@@ -257,26 +275,40 @@ def _tvl1_level(i0: np.ndarray, i1: np.ndarray, u: np.ndarray, v: np.ndarray,
     x-dual sits a leading zero or the last-column x-dual of the row above,
     which never leaves +0.0, and before the first row of y-duals sit W
     leading zeros; ``a - 0.0`` is ``a``, bits included.
+
+    The inner loop writes only into one ``_arena`` per level, through
+    positional ``out`` arguments, and ``uv + d`` into the other of two primal
+    buffers, so the shifted views of both are built once per level.
     """
     h, w = i0.shape
     n = h * w
-    ys, xs = np.indices((h, w), dtype=np.float64).reshape(2, n)
-    i1y, i1x = np.gradient(i1)
-    images = np.stack([i1, i1x, i1y])
-    del i1x, i1y
-    uv = np.stack([u, v]).reshape(2, n)
-    buf = np.zeros((2, 2, w + n))
+    field, plane = ((2, n), np.float64), ((n,), np.float64)
+    uv_a, uv_b, d, rho, clamp, norm, buf, g = _arena(
+        field, field, field, plane, ((n,), np.bool_), field,
+        ((2, 2, w + n), np.float64), ((2, 2, n), np.float64))
+    uv_a.reshape(2, h, w)[:] = u, v
+    # each primal buffer with its x and y shifts: (uv, uv[1:], uv[:-1],
+    # uv[w:], uv[:-w]) along the flat axis
+    cur, nxt = ((uv, uv[:, 1:], uv[:, :-1], uv[:, w:], uv[:, :-w])
+                for uv in (uv_a, uv_b))
     p = buf[:, :, w:]
     px, px_left = buf[:, 0, w:], buf[:, 0, w - 1:-1]
     py, py_up = buf[:, 1, w:], buf[:, 1, :-w]
     # forward differences of uv; the last column (x, zeroed after each flat
     # shift) and the last row (y, never written) are 0
-    g = np.zeros((2, 2, n))
     gx, gy = g[:, 0], g[:, 1]
+    gx_head, gy_head, gx_last = gx[:, :-1], gy[:, :-w], gx[:, w - 1::w]
+    d_u, d_v, norm_xy = d[0], d[1], norm[:, None]
+    ys, xs = np.indices((h, w), dtype=np.float64).reshape(2, n)
+    i1y, i1x = np.gradient(i1)
+    images = np.stack([i1, i1x, i1y])
+    del i1x, i1y
     l_t = params.lambda_weight * params.theta
     taut = params.tau / params.theta
+    add, sub, mul = np.add, np.subtract, np.multiply
 
     for _ in range(params.n_warps):
+        uv = cur[0]
         warped = _bilinear_sample(images, ys + uv[1], xs + uv[0])
         rho_c, grad = warped[0], warped[1:]
         del warped  # the views keep it alive until the del at the end of the warp
@@ -292,36 +324,42 @@ def _tvl1_level(i0: np.ndarray, i1: np.ndarray, u: np.ndarray, v: np.ndarray,
         rho_c -= i0.reshape(n)
 
         for _ in range(params.n_inner_iters):
-            d = grad * uv
-            rho = d[0] + rho_c
-            rho += d[1]
+            (uv, *_), (new, right, left, down, up) = cur, nxt
+            mul(grad, uv, d)
+            add(d_u, rho_c, rho)
+            add(rho, d_v, rho)
             # pointwise data-term proximal step; lo <= hi, so the two clamps
             # never overlap
-            np.multiply(rho, ngrad, out=d)
-            d /= denom
-            np.multiply(grad, l_t, out=d, where=rho < lo)
-            np.multiply(grad, -l_t, out=d, where=rho > hi)
+            mul(rho, ngrad, d)
+            np.divide(d, denom, d)
+            np.less(rho, lo, clamp)
+            mul(grad, l_t, d, where=clamp)
+            np.greater(rho, hi, clamp)
+            mul(grad, -l_t, d, where=clamp)
             # TV proximal via the dual variables
-            uv = uv + d  # not in place: `uv += d` measured ~1.4x slower at 128 px
-            del d, rho  # dead until the next iteration; keeps the peak down
-            div = px - px_left
-            div += py - py_up
-            uv += params.theta * div
-            np.subtract(uv[:, 1:], uv[:, :-1], out=gx[:, :-1])
-            gx[:, w - 1::w] = 0.0
-            np.subtract(uv[:, w:], uv[:, :-w], out=gy[:, :-w])
-            norm = np.square(g)
-            norm = np.add(norm[:, 0], norm[:, 1], out=norm[:, 0])
-            np.sqrt(norm, out=norm)
-            norm *= taut
-            norm += 1.0
-            g *= taut  # the zero column and row stay +0.0
-            p += g
-            p /= norm[:, None]
+            add(uv, d, new)
+            sub(px, px_left, d)  # d and norm are free here: div and a temporary
+            sub(py, py_up, norm)
+            add(d, norm, d)
+            mul(d, params.theta, d)
+            add(new, d, new)
+            sub(right, left, gx_head)
+            gx_last.fill(0.0)
+            sub(down, up, gy_head)
+            mul(gx, gx, norm)
+            mul(gy, gy, d)
+            add(norm, d, norm)
+            np.sqrt(norm, norm)
+            mul(norm, taut, norm)
+            add(norm, 1.0, norm)
+            mul(g, taut, g)  # the zero column and row stay +0.0
+            add(p, g, p)
+            np.divide(p, norm_xy, p)
+            cur, nxt = nxt, cur
         # free this warp's linearization before the next one is built
         del grad, ngrad, lo, hi, denom, rho_c
 
-    return uv[0].reshape(h, w), uv[1].reshape(h, w)
+    return tuple(cur[0].reshape(2, h, w).copy())
 
 
 def tvl1_flow(onset: np.ndarray, apex: np.ndarray,

@@ -10,9 +10,10 @@ fork, and there are never more workers than tasks.  Workers are forked, not
 spawned, so ``fn`` and whatever it reads are inherited without pickling; only
 the tasks go out and the results come back, over one pipe per worker.
 
-Each worker ignores SIGINT (the parent ends its workers), closes the parent's
-ends of the pipes it inherited, and pins the loaded OpenBLAS to one thread,
-so that N workers share N cores instead of oversubscribing them.  Its
+Each worker ignores SIGINT and takes SIGTERM's default action (the parent
+ends its workers, also when it is interrupted), closes the parent's ends of
+the pipes it inherited, and pins the loaded OpenBLAS to one thread, so that N
+workers share N cores instead of oversubscribing them.  Its
 ``ahmsa.*`` log records reach the parent's handlers as they are emitted, with
 ``args`` intact.  A worker that dies or raises becomes an ``AhmsaError``
 naming its task, and the other workers are killed.  With one worker, or where
@@ -120,6 +121,7 @@ def _worker(conn: Connection, parent_ends: list[Connection],
             controls: list[BlasThreadControl], fn: Callable) -> None:
     """Body of a forked worker: runs the tasks it is sent until its pipe closes."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent ends its workers
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)  # not the parent's handler
     for parent_end in parent_ends:  # so that EOF on a pipe means its peer is gone
         parent_end.close()
     for set_threads, _ in controls:
@@ -224,7 +226,8 @@ def _forked_map(fn: Callable[[Task], Result], tasks: Iterator[Task], workers: in
     finally:
         for conn in conns:
             conn.close()  # an idle worker's recv() ends
-        for proc in procs:
-            if not finished:  # a failure or an early close: no task is wanted
+        if not finished:  # a failure, an interrupt or an early close: no task is wanted
+            for proc in procs:
                 proc.kill()
+        for proc in procs:
             proc.join()

@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import textwrap
@@ -549,6 +550,104 @@ def test_loso_rejects_non_positive_fold_counts(dataset, tmp_path, capsys, monkey
     name = "--parallel-folds" if env is None else "AHMSA_THREADS"
     assert err.startswith("config error:") and name in err and "Traceback" not in err
     assert not (tmp_path / "o").exists()  # rejected before any fold ran
+
+
+# -- interrupts ------------------------------------------------------------------------
+
+_INTERRUPTIBLE_CLI = textwrap.dedent("""
+    import logging, os, signal, sys
+    from ahmsa.cli import main
+
+    signal.signal(signal.SIGINT, signal.default_int_handler)  # a shell may ignore it
+    os.sched_getaffinity = lambda pid: {0, 1}  # two extract-flow workers on any host
+    logging.basicConfig(level=logging.INFO, format="%(message)s")  # the epoch lines
+    sys.exit(main(sys.argv[1:]))
+""")
+
+
+def _proc_stat(pid) -> list[str] | None:
+    """The fields of /proc/<pid>/stat from the state on (ppid at 1, start time
+    at 19), or None once the process is gone."""
+    try:
+        return Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()
+    except (OSError, IndexError):
+        return None
+
+
+def _children(pid: int) -> set[tuple[int, str]]:
+    """(pid, start time) of the processes whose parent is ``pid``."""
+    found = set()
+    for entry in Path("/proc").iterdir():
+        stat = _proc_stat(entry.name) if entry.name.isdigit() else None
+        if stat is not None and int(stat[1]) == pid:
+            found.add((int(entry.name), stat[19]))
+    return found
+
+
+def _still_running(pid: int, since: str) -> bool:
+    stat = _proc_stat(pid)
+    return stat is not None and stat[19] == since and stat[0] != "Z"
+
+
+@pytest.fixture(scope="module")
+def interrupt_dataset(tmp_path_factory):
+    """Eighteen 128 px samples: two workers take seconds to extract them."""
+    root = tmp_path_factory.mktemp("interrupt_data")
+    assert run_cli("gen-synthetic", "--out-dir", str(root), "--seed", "5",
+                   "--subjects", "2", "--samples-per-subject", "9",
+                   "--image-size", "128") == 0
+    return root
+
+
+@forks
+@pytest.mark.parametrize("sig, code", [(signal.SIGINT, 130), (signal.SIGTERM, 143)],
+                         ids=["SIGINT", "SIGTERM"])
+@pytest.mark.parametrize("command", ["extract-flow", "loso"])
+def test_interrupt_ends_the_workers(dataset, interrupt_dataset, tmp_path, command,
+                                    sig, code):
+    if command == "extract-flow":
+        argv = ["extract-flow", "--manifest", str(interrupt_dataset / "manifest.csv"),
+                "--out-dir", str(tmp_path / "flow")]
+        started = "[1/18] "  # the first progress line
+    else:
+        cfg = write_config(tmp_path, {"train.epochs": 5000, "train.batch_size": 4,
+                                      "train.log_every": 1})
+        argv = ["loso", "--manifest", str(dataset / "manifest.csv"), "--extract",
+                "--out-dir", str(tmp_path / "o"), "--config", str(cfg),
+                "--parallel-folds", "2"]
+        started = "epoch 1/5000 "  # the first epoch line of a fold worker
+    env = dict(os.environ, AHMSA_THREADS="2",
+               PYTHONPATH=os.pathsep.join([str(Path(ahmsa.__file__).parents[1]),
+                                           os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.Popen([sys.executable, "-c", _INTERRUPTIBLE_CLI, *argv], env=env,
+                            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+    try:
+        seen = []
+        while not any(line.startswith(started) for line in seen):
+            line = proc.stderr.readline()
+            assert line, f"exited {proc.wait()} before {started!r}:\n{''.join(seen)}"
+            seen.append(line)
+        workers = _children(proc.pid)
+        assert len(workers) == 2
+        proc.send_signal(sig)
+        err = "".join(seen) + proc.communicate(timeout=60)[1]
+    finally:
+        proc.kill()
+        proc.wait()
+    assert proc.returncode == code, err
+    assert "Traceback" not in err
+    assert err.endswith("interrupted\n")
+    assert not [pid for pid, since in workers if _still_running(pid, since)]
+
+
+def test_main_restores_the_sigterm_handler(tmp_path, capsys):
+    # main installs its own while a command runs; callers in this process keep theirs
+    before = signal.getsignal(signal.SIGTERM)
+    assert run_cli("report", "--metrics", str(tmp_path / "missing.json")) == 1
+    assert run_cli("gen-synthetic", "--out-dir", str(tmp_path / "d"), "--subjects", "2",
+                   "--samples-per-subject", "3", "--image-size", "32") == 0
+    capsys.readouterr()
+    assert signal.getsignal(signal.SIGTERM) is before
 
 
 # -- train -----------------------------------------------------------------------------

@@ -353,6 +353,33 @@ def test_tvl1_level_matches_reference_on_random_cases(h, w, seed, n_warps,
     assert _same_bits(got, _reference_tvl1_level(i0, i1, u0, v0, params))
 
 
+# every level of the 128x128 and the 96x64 pyramids
+@pytest.mark.parametrize("dims", [(8, 8), (16, 16), (32, 32), (64, 64), (128, 128),
+                                  (12, 8), (24, 16), (48, 32), (96, 64)],
+                         ids=lambda dims: f"{dims[0]}x{dims[1]}")
+def test_tvl1_level_arena_is_aligned_disjoint_and_staggered(monkeypatch, dims):
+    # the layout is what makes the level fast; the bit-exact tests cannot see it
+    arenas = []
+
+    def recorded(*specs):
+        arrays = arena(*specs)
+        assert all(not a.any() for a in arrays)
+        arenas.append(arrays)
+        return arrays
+
+    arena = optflow._arena
+    monkeypatch.setattr(optflow, "_arena", recorded)
+    i0, i1 = np.random.default_rng(1).uniform(0.0, 255.0, (2, *dims))
+    optflow._tvl1_level(i0, i1, np.zeros(dims), np.zeros(dims),
+                        TVL1Params(n_warps=1, n_inner_iters=1))
+    [arrays] = arenas
+    assert len(arrays) >= 8
+    spans = sorted((a.ctypes.data, a.ctypes.data + a.nbytes) for a in arrays)
+    assert all(start % 64 == 0 for start, _ in spans)
+    assert all(stop <= start for (_, stop), (start, _) in zip(spans, spans[1:]))
+    assert len({start % 4096 for start, _ in spans}) == len(spans)
+
+
 @pytest.mark.parametrize("dims", [(64, 64), (128, 128), (96, 64)],
                          ids=lambda dims: f"{dims[0]}x{dims[1]}")
 def test_tvl1_flow_file_bytes_match_reference(tmp_path, dims):
