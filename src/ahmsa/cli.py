@@ -23,14 +23,15 @@ import signal
 import sys
 import threading
 from collections.abc import Iterator
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .data import CLASS_NAMES, DatasetManifest, Sample, gen_synthetic, load_manifest
-from .errors import AhmsaError, ConfigError, ValidationError, is_finite_real, is_int
+from .errors import (AhmsaError, ConfigError, ValidationError, field_problems,
+                     is_finite_real, is_int)
 from .model import ModelConfig, save_checkpoint
 from .optflow import (
     TVL1Params,
@@ -47,25 +48,14 @@ from .workers import THREAD_ENV_VAR, forked_map, worker_count
 class FlowOptions:
     """Feature-extraction knobs that sit outside the TV-L1 solver."""
 
-    region_px: int = 28
+    region_px: int = field(default=28, metadata={"rule": "positive"})
     include_nose: bool = False
-    norm: str = "standardize"
+    norm: str = field(default="standardize", metadata={"rule": ("standardize", "none")})
 
     def validate(self) -> None:
-        problems = []
-        if not is_int(self.region_px):
-            problems.append(f"flow.region_px must be an integer, got {self.region_px!r}")
-        elif self.region_px < 1:
-            problems.append(f"flow.region_px must be positive, got {self.region_px}")
-        if not isinstance(self.include_nose, bool):
-            problems.append(
-                f"flow.include_nose must be true or false, got {self.include_nose!r}")
-        if not isinstance(self.norm, str):
-            problems.append(f"flow.norm must be a string, got {self.norm!r}")
-        elif self.norm not in ("standardize", "none"):
-            problems.append(f"flow.norm must be 'standardize' or 'none', got {self.norm!r}")
+        problems = field_problems(self)
         if problems:
-            raise ConfigError("; ".join(problems))
+            raise ConfigError("; ".join(f"flow.{p}" for p in problems))
 
 
 @dataclass(frozen=True)
@@ -136,21 +126,19 @@ def build_run_config(config_path: str | None,
     per_section: dict[str, dict] = {name: {} for name in _SECTIONS}
     for key, value in values.items():
         section, field_name = key.split(".", 1)
-        if field_name == "blocks_per_layer" and isinstance(value, list):
-            value = tuple(value)
         per_section[section][field_name] = value
 
-    try:
-        run = RunConfig(
-            model=ModelConfig(**per_section["model"]),
-            train=TrainConfig(**per_section["train"]),
-            tvl1=TVL1Params(**per_section["tvl1"]),
-            flow=FlowOptions(**per_section["flow"]),
-        )
-    except (ValidationError, TypeError) as exc:
-        raise ConfigError(str(exc)) from exc
-    run.validate()
-    return run
+    sections, problems = {}, []
+    for name, cls in _SECTIONS.items():
+        try:  # TVL1Params checks itself when built, the others in validate()
+            sections[name] = cls(**per_section[name])
+            if cls is not TVL1Params:
+                sections[name].validate()
+        except ValidationError as exc:
+            problems.append(str(exc))
+    if problems:
+        raise ConfigError("; ".join(problems))
+    return RunConfig(**sections)
 
 
 # -- flow-map plumbing -----------------------------------------------------------
@@ -453,41 +441,32 @@ def cmd_report(args) -> int:
 # -- argument wiring ---------------------------------------------------------------------
 
 
-def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="flat JSON config of dotted keys")
-    group = parser.add_argument_group("config overrides")
-    group.add_argument("--epochs", type=int)
-    group.add_argument("--batch-size", type=int)
-    group.add_argument("--lr", type=float)
-    group.add_argument("--seed", type=int)
-    group.add_argument("--blocks", help="comma list, e.g. 1,1,8")
-    group.add_argument("--layers", type=int)
-    group.add_argument("--scale-factor", type=int)
-    group.add_argument("--heads", type=int)
-    group.add_argument("--embed-channels", type=int)
-    group.add_argument("--include-nose", action="store_true", default=None)
-
-
-_OVERRIDE_KEYS = {
-    "epochs": "train.epochs",
-    "batch_size": "train.batch_size",
-    "lr": "train.learning_rate",
-    "seed": "train.seed",
-    "layers": "model.n_layers",
-    "scale_factor": "model.downsample_factor",
-    "heads": "model.heads",
-    "embed_channels": "model.embed_channels",
-    "include_nose": "flow.include_nose",
+# override flag -> (config key, argparse options)
+_OVERRIDES = {
+    "--epochs": ("train.epochs", {"type": int}),
+    "--batch-size": ("train.batch_size", {"type": int}),
+    "--lr": ("train.learning_rate", {"type": float}),
+    "--seed": ("train.seed", {"type": int}),
+    "--blocks": ("model.blocks_per_layer", {"help": "comma list, e.g. 1,1,8"}),
+    "--layers": ("model.n_layers", {"type": int}),
+    "--scale-factor": ("model.downsample_factor", {"type": int}),
+    "--heads": ("model.heads", {"type": int}),
+    "--embed-channels": ("model.embed_channels", {"type": int}),
+    "--include-nose": ("flow.include_nose", {"action": "store_true", "default": None}),
 }
 
 
+def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--config", help="flat JSON config of dotted keys")
+    group = parser.add_argument_group("config overrides")
+    for flag, (key, options) in _OVERRIDES.items():
+        group.add_argument(flag, dest=key, **options)
+
+
 def _collect_overrides(args) -> dict[str, object]:
-    overrides: dict[str, object] = {}
-    for attr, key in _OVERRIDE_KEYS.items():
-        value = getattr(args, attr, None)
-        if value is not None:
-            overrides[key] = value
-    blocks = getattr(args, "blocks", None)
+    overrides = {key: getattr(args, key) for key, _ in _OVERRIDES.values()
+                 if getattr(args, key) is not None}
+    blocks = overrides.get("model.blocks_per_layer")
     if blocks is not None:
         try:
             overrides["model.blocks_per_layer"] = tuple(

@@ -370,8 +370,13 @@ def gen_synthetic(out_dir, seed: int = 42, n_subjects: int = 6,
     landmark regions.  Emits PGM pairs plus a manifest CSV; fully determined
     by the seed.  Returns the loaded manifest and the manifest path.
     """
-    if not is_int(seed) or seed < 0:
-        raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
+    for name, value in (("seed", seed), ("n_subjects", n_subjects),
+                        ("samples_per_subject", samples_per_subject),
+                        ("image_size", image_size)):
+        if not is_int(value):
+            raise ValidationError(f"{name} must be an integer, got {value!r}")
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     if n_subjects < 2:
         raise ValidationError(f"need at least 2 subjects for LOSO, got {n_subjects}")
     if samples_per_subject < 3 or samples_per_subject % N_CLASSES != 0:

@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, ValidationError, is_int
+from .errors import ConfigError, DimensionError, ValidationError, field_problems
 from .tensor import (
     LayerNormParams,
     Tensor,
@@ -52,17 +52,18 @@ CHECKPOINT_VERSION = 1
 class ModelConfig:
     """Architecture knobs; defaults give the 28x28x3 -> 3-class network."""
 
-    h_flow: int = 28
-    w_flow: int = 28
-    patch_size: int = 7
-    embed_channels: int = 96
-    heads: int = 3
-    n_layers: int = 3
-    downsample_factor: int = 2
-    blocks_per_layer: tuple[int, ...] = (2, 2, 8)
-    n_classes: int = 3
-    channel_reduction: int = 4
-    ffn_expansion: int = 4
+    h_flow: int = field(default=28, metadata={"rule": "positive"})
+    w_flow: int = field(default=28, metadata={"rule": "positive"})
+    patch_size: int = field(default=7, metadata={"rule": "positive"})
+    embed_channels: int = field(default=96, metadata={"rule": "positive"})
+    heads: int = field(default=3, metadata={"rule": "positive"})
+    n_layers: int = field(default=3, metadata={"rule": "positive"})
+    downsample_factor: int = field(default=2, metadata={"rule": "positive"})
+    blocks_per_layer: tuple[int, ...] = field(default=(2, 2, 8),
+                                              metadata={"rule": "positive"})
+    n_classes: int = field(default=3, metadata={"rule": ">= 2"})
+    channel_reduction: int = field(default=4, metadata={"rule": "positive"})
+    ffn_expansion: int = field(default=4, metadata={"rule": "positive"})
 
     def __post_init__(self):
         if isinstance(self.blocks_per_layer, list):
@@ -76,39 +77,28 @@ class ModelConfig:
         return self.grid // self.downsample_factor ** level
 
     def validate(self) -> None:
-        """Raise ConfigError listing every violated invariant."""
-        int_fields = ("h_flow", "w_flow", "patch_size", "embed_channels", "heads",
-                      "n_layers", "downsample_factor", "n_classes",
-                      "channel_reduction", "ffn_expansion")
-        problems = [f"{name} must be an integer, got {getattr(self, name)!r}"
-                    for name in int_fields if not is_int(getattr(self, name))]
-        if not (isinstance(self.blocks_per_layer, tuple)
-                and all(map(is_int, self.blocks_per_layer))):
-            problems.append("blocks_per_layer must be a list of integers, "
-                            f"got {self.blocks_per_layer!r}")
-        if problems:  # the checks below need integers to compare
-            raise ConfigError("; ".join(problems))
-        for name in int_fields:
-            if getattr(self, name) < 1:
-                problems.append(f"{name} must be positive")
-        if self.n_classes < 2:
-            problems.append("n_classes must be at least 2")
+        """Raise ConfigError listing every violated invariant; the ones that
+        tie fields together are checked once every field is valid."""
+        problems = field_problems(self) or self._joint_problems()
+        if problems:
+            raise ConfigError("; ".join(f"model.{p}" for p in problems))
+
+    def _joint_problems(self) -> list[str]:
+        problems = []
         if self.h_flow != self.w_flow:
             problems.append("h_flow and w_flow must match (square patch grid)")
-        if self.heads >= 1 and self.embed_channels % self.heads != 0:
+        if self.embed_channels % self.heads != 0:
             problems.append(
                 f"embed_channels={self.embed_channels} not divisible by heads={self.heads}")
-        if self.channel_reduction >= 1 and \
-                self.embed_channels % self.channel_reduction != 0:
+        if self.embed_channels % self.channel_reduction != 0:
             problems.append(
                 f"embed_channels={self.embed_channels} not divisible by "
                 f"channel_reduction={self.channel_reduction}")
-        if self.patch_size >= 1 and (
-                self.h_flow % self.patch_size != 0 or self.w_flow % self.patch_size != 0):
+        if self.h_flow % self.patch_size != 0 or self.w_flow % self.patch_size != 0:
             problems.append(
-                f"input dims {self.h_flow}x{self.w_flow} not divisible by "
+                f"h_flow x w_flow = {self.h_flow}x{self.w_flow} not divisible by "
                 f"patch_size={self.patch_size}")
-        elif self.patch_size >= 1 and self.downsample_factor >= 1 and self.n_layers >= 1:
+        else:
             # past grid.bit_length() levels any factor >= 2 overshoots the
             # grid; the power is then not computed, as it could be huge
             if self.downsample_factor > 1 and \
@@ -118,16 +108,13 @@ class ModelConfig:
                 top = self.downsample_factor ** (self.n_layers - 1)
             if self.grid != top:
                 problems.append(
-                    f"patch grid {self.grid} must equal "
+                    f"n_layers={self.n_layers}: patch grid {self.grid} must equal "
                     f"downsample_factor^(n_layers-1) = {top} so the top level is 1x1")
         if len(self.blocks_per_layer) != self.n_layers:
             problems.append(
                 f"blocks_per_layer has {len(self.blocks_per_layer)} entries "
                 f"for n_layers={self.n_layers}")
-        if any(b < 1 for b in self.blocks_per_layer):
-            problems.append("every blocks_per_layer entry must be positive")
-        if problems:
-            raise ConfigError("; ".join(problems))
+        return problems
 
 
 @dataclass

@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionError, ValidationError, is_finite_real, is_int
+from .errors import DimensionError, ValidationError, field_problems
 
 FLOW_MAGIC = b"AHMS"
 FLOW_FORMAT_VERSION = 1
@@ -38,47 +38,24 @@ class TVL1Params:
     warps of thirty inner iterations over a half-scale pyramid).
     """
 
-    lambda_weight: float = 0.15
-    theta: float = 0.3
-    tau: float = 0.25
-    n_warps: int = 5
-    n_inner_iters: int = 30
-    pyramid_levels: int | None = None  # None = deepest pyramid allowed
-    pyramid_scale: float = 0.5
+    lambda_weight: float = field(default=0.15, metadata={"rule": "positive"})
+    theta: float = field(default=0.3, metadata={"rule": "positive"})
+    tau: float = field(default=0.25, metadata={"rule": "positive"})
+    n_warps: int = field(default=5, metadata={"rule": "positive"})
+    n_inner_iters: int = field(default=30, metadata={"rule": "positive"})
+    # None = deepest pyramid allowed
+    pyramid_levels: int | None = field(default=None, metadata={"rule": "positive"})
+    pyramid_scale: float = field(default=0.5, metadata={"rule": "in (0, 1)"})
 
     def __post_init__(self):
-        problems = []
-        for name in ("lambda_weight", "theta", "tau", "pyramid_scale"):
-            value = getattr(self, name)
-            if not is_finite_real(value):
-                problems.append(f"{name} must be a finite number, got {value!r}")
-        for name in ("n_warps", "n_inner_iters", "pyramid_levels"):
-            value = getattr(self, name)
-            if name == "pyramid_levels" and value is None:
-                continue
-            if not is_int(value):
-                problems.append(f"{name} must be an integer, got {value!r}")
-        if problems:  # the range checks below need numbers to compare
-            raise ValidationError("; ".join(problems))
-        if self.lambda_weight <= 0:
-            problems.append("lambda_weight must be positive")
-        if self.theta <= 0:
-            problems.append("theta must be positive")
-        if self.tau <= 0:
-            problems.append("tau must be positive")
-        if self.tau * self.theta > 0.125 + 1e-12:
+        problems = field_problems(self)
+        if not problems and self.tau * self.theta > 0.125 + 1e-12:
             problems.append(
                 f"tau*theta = {self.tau * self.theta:.4f} exceeds the dual-step "
                 "stability bound 0.125"
             )
-        if self.n_warps < 1 or self.n_inner_iters < 1:
-            problems.append("n_warps and n_inner_iters must be positive")
-        if self.pyramid_levels is not None and self.pyramid_levels < 1:
-            problems.append("pyramid_levels must be positive (or None for auto)")
-        if not 0.0 < self.pyramid_scale < 1.0:
-            problems.append("pyramid_scale must lie in (0, 1)")
         if problems:
-            raise ValidationError("; ".join(problems))
+            raise ValidationError("; ".join(f"tvl1.{p}" for p in problems))
 
 
 @dataclass

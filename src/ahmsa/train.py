@@ -33,8 +33,7 @@ from .errors import (
     ConfigError,
     TrainingDivergedError,
     ValidationError,
-    is_finite_real,
-    is_int,
+    field_problems,
 )
 from .model import ModelConfig, ModelParams, forward, init_model
 from .tensor import adam_step, cross_entropy, init_adam, no_grad, zero_grads
@@ -49,37 +48,18 @@ EVAL_BATCH = 64
 class TrainConfig:
     """Optimization knobs; defaults are the full-scale settings."""
 
-    epochs: int = 800
-    learning_rate: float = 5e-6
-    batch_size: int = 256
-    seed: int = 0
+    epochs: int = field(default=800, metadata={"rule": ">= 1"})
+    learning_rate: float = field(default=5e-6, metadata={"rule": ">= 0"})
+    batch_size: int = field(default=256, metadata={"rule": ">= 1"})
+    seed: int = field(default=0, metadata={"rule": ">= 0"})
     shuffle: bool = True
-    log_every: int = 0  # epochs between loss log lines; 0 disables
+    # epochs between loss log lines; 0 disables
+    log_every: int = field(default=0, metadata={"rule": ">= 0"})
 
     def validate(self) -> None:
-        problems = [f"{name} must be an integer, got {getattr(self, name)!r}"
-                    for name in ("epochs", "batch_size", "seed", "log_every")
-                    if not is_int(getattr(self, name))]
-        if not is_finite_real(self.learning_rate):
-            problems.append(
-                f"learning_rate must be a finite number, got {self.learning_rate!r}")
-        if not isinstance(self.shuffle, bool):
-            problems.append(f"shuffle must be true or false, got {self.shuffle!r}")
-        if problems:  # the checks below need numbers to compare
-            raise ConfigError("; ".join(problems))
-        if self.epochs < 1:
-            problems.append(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size < 1:
-            problems.append(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.learning_rate < 0:
-            problems.append(
-                f"learning_rate must be non-negative, got {self.learning_rate}")
-        if self.seed < 0:
-            problems.append(f"seed must be >= 0, got {self.seed}")
-        if self.log_every < 0:
-            problems.append(f"log_every must be >= 0, got {self.log_every}")
+        problems = field_problems(self)
         if problems:
-            raise ConfigError("; ".join(problems))
+            raise ConfigError("; ".join(f"train.{p}" for p in problems))
 
 
 def desk_scale_config(seed: int = 0) -> TrainConfig:

@@ -11,9 +11,10 @@ spawned, so ``fn`` and whatever it reads are inherited without pickling; only
 the tasks go out and the results come back, over one pipe per worker.
 
 Each worker ignores SIGINT and takes SIGTERM's default action (the parent
-ends its workers, also when it is interrupted), closes the parent's ends of
-the pipes it inherited, and pins the loaded OpenBLAS to one thread, so that N
-workers share N cores instead of oversubscribing them.  Its
+ends its workers, also when it is interrupted), is killed when the parent dies
+without ending it (SIGKILL, the OOM killer; Linux only), closes the parent's
+ends of the pipes it inherited, and pins the loaded OpenBLAS to one thread, so
+that N workers share N cores instead of oversubscribing them.  Its
 ``ahmsa.*`` log records reach the parent's handlers as they are emitted, with
 ``args`` intact.  A worker that dies or raises becomes an ``AhmsaError``
 naming its task, and the other workers are killed.  With one worker, or where
@@ -118,8 +119,14 @@ class _ForwardRecords(logging.Handler):
 
 
 def _worker(conn: Connection, parent_ends: list[Connection],
-            controls: list[BlasThreadControl], fn: Callable) -> None:
+            controls: list[BlasThreadControl], fn: Callable, parent: int) -> None:
     """Body of a forked worker: runs the tasks it is sent until its pipe closes."""
+    if sys.platform == "linux":  # SIGKILL once the parent process ``parent`` dies
+        prctl = ctypes.CDLL(None).prctl
+        prctl.argtypes, prctl.restype = [ctypes.c_int, ctypes.c_ulong], ctypes.c_int
+        prctl(1, signal.SIGKILL)  # PR_SET_PDEATHSIG
+        if os.getppid() != parent:  # it died before the call
+            os._exit(1)
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent ends its workers
     signal.signal(signal.SIGTERM, signal.SIG_DFL)  # not the parent's handler
     for parent_end in parent_ends:  # so that EOF on a pipe means its peer is gone
@@ -185,7 +192,8 @@ def _forked_map(fn: Callable[[Task], Result], tasks: Iterator[Task], workers: in
         sys.stderr.flush()
         conn, child_conn = context.Pipe()
         proc = context.Process(target=_worker, daemon=True,
-                               args=(child_conn, [*conns, conn], controls, fn))
+                               args=(child_conn, [*conns, conn], controls, fn,
+                                     os.getpid()))
         proc.start()
         child_conn.close()
         conns.append(conn)

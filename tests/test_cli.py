@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import shutil
 import signal
 import subprocess
@@ -640,6 +641,45 @@ def test_interrupt_ends_the_workers(dataset, interrupt_dataset, tmp_path, comman
     assert not [pid for pid, since in workers if _still_running(pid, since)]
 
 
+@forks
+def test_workers_die_with_a_killed_parent(dataset, tmp_path):
+    # SIGKILL runs no cleanup in the parent, and at log_every 0 a fold worker
+    # sends nothing before its fold is done, so it must end by itself
+    flow_dir, cfg = tmp_path / "flow", write_config(tmp_path)
+    assert run_cli("extract-flow", "--manifest", str(dataset / "manifest.csv"),
+                   "--out-dir", str(flow_dir), "--config", str(cfg)) == 0
+    cfg = write_config(tmp_path, {"train.epochs": 5000, "train.batch_size": 4})
+    argv = ["loso", "--manifest", str(dataset / "manifest.csv"), "--flow-dir",
+            str(flow_dir), "--out-dir", str(tmp_path / "o"), "--config", str(cfg),
+            "--parallel-folds", "2"]
+    env = dict(os.environ, AHMSA_THREADS="2",
+               PYTHONPATH=os.pathsep.join([str(Path(ahmsa.__file__).parents[1]),
+                                           os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.Popen([sys.executable, "-c", _INTERRUPTIBLE_CLI, *argv], env=env,
+                            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+    workers = set()
+    try:
+        deadline = time.monotonic() + 60
+        while len(workers) < 2:  # both folds are training
+            assert proc.poll() is None, f"loso exited {proc.returncode} before its folds"
+            assert time.monotonic() < deadline, "the fold workers never started"
+            time.sleep(0.05)
+            workers = _children(proc.pid)
+        proc.kill()
+        proc.wait()
+        deadline = time.monotonic() + 10
+        while left := [pid for pid, since in workers if _still_running(pid, since)]:
+            assert time.monotonic() < deadline, f"workers {left} outlived their parent"
+            time.sleep(0.05)
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
+        for pid, since in workers:
+            if _still_running(pid, since):
+                os.kill(pid, signal.SIGKILL)
+
+
 def test_main_restores_the_sigterm_handler(tmp_path, capsys):
     # main installs its own while a command runs; callers in this process keep theirs
     before = signal.getsignal(signal.SIGTERM)
@@ -854,6 +894,66 @@ def test_build_run_config_lists_all_section_errors():
 def test_build_run_config_rejects_mistyped_flow_options(key, value, problem):
     with pytest.raises(ConfigError, match=problem):
         build_run_config(None, {key: value})
+
+
+def test_build_run_config_reports_every_section_at_once():
+    with pytest.raises(ConfigError) as err:
+        build_run_config(None, {"tvl1.theta": -1, "train.epochs": 0, "model.heads": 0,
+                                "flow.region_px": 0})
+    assert str(err.value) == (
+        "model.heads must be positive, got 0; train.epochs must be >= 1, got 0; "
+        "tvl1.theta must be positive, got -1; flow.region_px must be positive, got 0")
+
+
+# Smallest valid model: every integer at its least allowed value.
+_LEAST_MODEL = {"model.h_flow": 1, "model.w_flow": 1, "model.patch_size": 1,
+                "model.embed_channels": 1, "model.heads": 1, "model.n_layers": 1,
+                "model.downsample_factor": 1, "model.blocks_per_layer": [1],
+                "model.n_classes": 2, "model.channel_reduction": 1,
+                "model.ffn_expansion": 1}
+_TINY = 5e-324  # the least positive float
+# (key, a value just past its rule, the first value within it)
+_BOUNDARIES = [
+    *((key, 0, 1) for key in _LEAST_MODEL if key not in (
+        "model.blocks_per_layer", "model.n_classes")),
+    ("model.blocks_per_layer", [0], [1]),
+    ("model.n_classes", 1, 2),
+    ("train.epochs", 0, 1),
+    ("train.learning_rate", -_TINY, 0.0),
+    ("train.batch_size", 0, 1),
+    ("train.seed", -1, 0),
+    ("train.shuffle", 1, False),
+    ("train.log_every", -1, 0),
+    ("tvl1.lambda_weight", 0.0, _TINY),
+    ("tvl1.theta", 0.0, _TINY),
+    ("tvl1.tau", 0.0, _TINY),
+    ("tvl1.n_warps", 0, 1),
+    ("tvl1.n_inner_iters", 0, 1),
+    ("tvl1.pyramid_levels", 0, 1),
+    ("tvl1.pyramid_scale", 0.0, _TINY),
+    ("tvl1.pyramid_scale", 1.0, 1.0 - 2 ** -53),
+    ("flow.region_px", 0, 1),
+    ("flow.include_nose", 1, False),
+    ("flow.norm", "zscore", "none"),
+]
+
+
+def test_boundaries_cover_every_config_key():
+    assert {key for key, _, _ in _BOUNDARIES} == set(build_run_config(None, {}).flat_dict())
+
+
+@pytest.mark.parametrize("key,invalid,valid", _BOUNDARIES,
+                         ids=[f"{key}={invalid!r}" for key, invalid, _ in _BOUNDARIES])
+def test_every_config_key_rule_holds_at_its_boundary(key, invalid, valid):
+    with pytest.raises(ConfigError, match=re.escape(f"{key} must be ")):
+        build_run_config(None, {**_LEAST_MODEL, key: invalid})
+    assert build_run_config(None, {**_LEAST_MODEL, key: valid}).flat_dict()[key] == valid
+
+
+def test_readme_config_table_lists_every_key():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    table = re.findall(r"^\| `([a-z0-9_]+\.[a-z0-9_]+)` \|", readme, flags=re.M)
+    assert sorted(table) == sorted(build_run_config(None, {}).flat_dict())
 
 
 def test_build_run_config_rejects_deeply_nested_json(tmp_path):

@@ -392,6 +392,17 @@ def test_gen_synthetic_seed_changes_content(tmp_path):
     assert _tree_hash(tmp_path / "a") != _tree_hash(tmp_path / "b")
 
 
+@pytest.mark.parametrize("name,value", [
+    ("n_subjects", 2.5), ("n_subjects", True), ("samples_per_subject", 3.0),
+    ("image_size", 64.5), ("image_size", "64"), ("seed", 1.0),
+])
+def test_gen_synthetic_rejects_non_integer_sizes(tmp_path, name, value):
+    kwargs = dict(seed=0, n_subjects=2, samples_per_subject=3, image_size=32)
+    with pytest.raises(ValidationError, match=f"{name} must be an integer, got {value!r}"):
+        gen_synthetic(tmp_path / "out", **{**kwargs, name: value})
+    assert not (tmp_path / "out").exists()
+
+
 def test_gen_synthetic_validation():
     with pytest.raises(ValidationError, match="2 subjects"):
         gen_synthetic("/tmp/unused", seed=0, n_subjects=1, samples_per_subject=3)
