@@ -35,9 +35,9 @@ from .model import (
 )
 from .optflow import (
     FlowField,
+    FlowOptions,
     LandmarkSet,
     TVL1Params,
-    assemble_flow_map,
     compose_regions,
     extract_feature_map,
     optical_strain,
@@ -65,6 +65,7 @@ __all__ = [
     "DatasetManifest",
     "DimensionError",
     "FlowField",
+    "FlowOptions",
     "LandmarkSet",
     "MetricsReport",
     "ModelConfig",
@@ -76,7 +77,6 @@ __all__ = [
     "TrainingDivergedError",
     "UsageError",
     "ValidationError",
-    "assemble_flow_map",
     "compose_regions",
     "desk_scale_config",
     "evaluate",

@@ -8,8 +8,13 @@ Subcommands:
   report          re-render summary/figure from an existing metrics.json
 
 Configuration is a flat JSON file of dotted keys ("model.heads": 3) merged
-with command-line overrides; every resolved value is echoed into
-metrics.json so a run can be reproduced from its own output.
+with command-line overrides.  Each section is checked once, when it is
+built, and every problem in all four is reported in one config error; every
+resolved value is echoed into metrics.json so a run can be reproduced from
+its own output.
+
+Flow extraction (extract-flow, or --extract) and the LOSO folds run in one
+forked worker process per usable CPU, capped by AHMSA_THREADS.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage/config error, 130/143
 interrupted by SIGINT/SIGTERM (the worker processes are ended first).
@@ -23,17 +28,17 @@ import signal
 import sys
 import threading
 from collections.abc import Iterator
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .data import CLASS_NAMES, DatasetManifest, Sample, gen_synthetic, load_manifest
-from .errors import (AhmsaError, ConfigError, ValidationError, field_problems,
-                     is_finite_real, is_int)
+from .errors import AhmsaError, ConfigError, ValidationError, is_finite_real, is_int
 from .model import ModelConfig, save_checkpoint
 from .optflow import (
+    FlowOptions,
     TVL1Params,
     extract_feature_map,
     read_flow_map,
@@ -41,21 +46,7 @@ from .optflow import (
     write_flow_map,
 )
 from .train import TrainConfig, run_loso, train_fold
-from .workers import THREAD_ENV_VAR, forked_map, worker_count
-
-
-@dataclass(frozen=True)
-class FlowOptions:
-    """Feature-extraction knobs that sit outside the TV-L1 solver."""
-
-    region_px: int = field(default=28, metadata={"rule": "positive"})
-    include_nose: bool = False
-    norm: str = field(default="standardize", metadata={"rule": ("standardize", "none")})
-
-    def validate(self) -> None:
-        problems = field_problems(self)
-        if problems:
-            raise ConfigError("; ".join(f"flow.{p}" for p in problems))
+from .workers import forked_map, worker_count
 
 
 @dataclass(frozen=True)
@@ -66,16 +57,6 @@ class RunConfig:
     train: TrainConfig
     tvl1: TVL1Params
     flow: FlowOptions
-
-    def validate(self) -> None:
-        problems = []
-        for section in (self.model, self.train, self.flow):
-            try:
-                section.validate()
-            except ConfigError as exc:
-                problems.append(str(exc))
-        if problems:
-            raise ConfigError("; ".join(problems))
 
     def flat_dict(self) -> dict:
         out = {}
@@ -130,11 +111,9 @@ def build_run_config(config_path: str | None,
 
     sections, problems = {}, []
     for name, cls in _SECTIONS.items():
-        try:  # TVL1Params checks itself when built, the others in validate()
+        try:
             sections[name] = cls(**per_section[name])
-            if cls is not TVL1Params:
-                sections[name].validate()
-        except ValidationError as exc:
+        except ConfigError as exc:
             problems.append(str(exc))
     if problems:
         raise ConfigError("; ".join(problems))
@@ -186,14 +165,9 @@ def _extracted(manifest: DatasetManifest, run: RunConfig,
     def feature_map(task):
         i, onset, apex = task
         try:
-            return i, extract_feature_map(
-                onset, apex, manifest.samples[i].landmarks,
-                tvl1_params=run.tvl1,
-                region_px=run.flow.region_px,
-                out_size=run.model.h_flow,
-                include_nose=run.flow.include_nose,
-                norm=run.flow.norm,
-            )
+            return i, extract_feature_map(onset, apex, manifest.samples[i].landmarks,
+                                          tvl1=run.tvl1, flow=run.flow,
+                                          out_size=run.model.h_flow)
         except AhmsaError as exc:
             return i, exc
 
@@ -387,15 +361,11 @@ def cmd_extract_flow(args) -> int:
 
 def cmd_loso(args) -> int:
     run = build_run_config(args.config, _collect_overrides(args))
-    if args.parallel_folds is not None and args.parallel_folds < 1:
-        raise ConfigError(f"--parallel-folds must be positive, got {args.parallel_folds}")
-    parallel_folds = worker_count(args.parallel_folds)
     workers = worker_count()
     manifest = load_manifest(args.manifest)
     flow_dir = Path(args.flow_dir) if args.flow_dir else None
     maps = load_feature_maps(manifest, flow_dir, args.extract, run, workers)
-    report = run_loso(manifest, maps, run.model, run.train,
-                      parallel_folds=parallel_folds)
+    report = run_loso(manifest, maps, run.model, run.train, parallel_folds=workers)
     payload = report.to_json_dict()
     payload["config"] = run.flat_dict()
     _write_report_files(Path(args.out_dir), payload)
@@ -506,9 +476,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--extract", action="store_true",
                    help="compute feature maps inline instead of reading files")
     p.add_argument("--out-dir", default=".")
-    p.add_argument("--parallel-folds", type=int,
-                   help="folds trained at once in forked worker processes "
-                        f"(default: the usable CPUs; {THREAD_ENV_VAR} caps it)")
     _add_config_arguments(p)
     p.set_defaults(func=cmd_loso)
 

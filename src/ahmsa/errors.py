@@ -1,5 +1,6 @@
 """Exception types shared across the package, the type predicates that
-validation uses before comparing values, and the one check of config fields."""
+validation uses before comparing values, and the one check of config fields,
+which each config section runs when it is built."""
 
 import math
 import numbers
@@ -68,6 +69,15 @@ def field_problems(config) -> list[str]:
         if not ok:
             problems.append(f"{f.name} must be {wording}, got {value!r}")
     return problems
+
+
+def check_fields(config, section: str, joint=list) -> None:
+    """Raise a ``ConfigError`` naming by its dotted key (``section.name``)
+    each of ``field_problems(config)``, or, once there are none, each problem
+    across fields that ``joint()`` lists."""
+    problems = field_problems(config) or joint()
+    if problems:
+        raise ConfigError("; ".join(f"{section}.{p}" for p in problems))
 
 
 class AhmsaError(Exception):

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, ValidationError, field_problems
+from .errors import ConfigError, DimensionError, ValidationError, check_fields
 from .tensor import (
     LayerNormParams,
     Tensor,
@@ -66,8 +66,11 @@ class ModelConfig:
     ffn_expansion: int = field(default=4, metadata={"rule": "positive"})
 
     def __post_init__(self):
+        """Raise a ConfigError listing every violated invariant; the ones that
+        tie fields together are checked once every field is valid."""
         if isinstance(self.blocks_per_layer, list):
             object.__setattr__(self, "blocks_per_layer", tuple(self.blocks_per_layer))
+        check_fields(self, "model", self._joint_problems)
 
     @property
     def grid(self) -> int:
@@ -75,13 +78,6 @@ class ModelConfig:
 
     def grid_at(self, level: int) -> int:
         return self.grid // self.downsample_factor ** level
-
-    def validate(self) -> None:
-        """Raise ConfigError listing every violated invariant; the ones that
-        tie fields together are checked once every field is valid."""
-        problems = field_problems(self) or self._joint_problems()
-        if problems:
-            raise ConfigError("; ".join(f"model.{p}" for p in problems))
 
     def _joint_problems(self) -> list[str]:
         problems = []
@@ -210,7 +206,6 @@ def init_model(config: ModelConfig, seed: int, dtype=np.float32) -> ModelParams:
     The draw sequence is fixed by the parameter order, so a seed fully
     determines every weight.
     """
-    config.validate()
     rng = np.random.default_rng(seed)
     c = config.embed_channels
     p = config.patch_size
@@ -548,9 +543,8 @@ def load_checkpoint(path) -> ModelParams:
     unknown = set(cfg_dict) - known
     if unknown:
         raise ValidationError(f"{path}: unknown config keys {sorted(unknown)}")
-    config = ModelConfig(**cfg_dict)
     try:
-        config.validate()
+        config = ModelConfig(**cfg_dict)
     except ConfigError as exc:
         raise ValidationError(f"{path}: invalid config: {exc}") from exc
     offset = 9 + cfg_len

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionError, ValidationError, field_problems
+from .errors import DimensionError, ValidationError, check_fields
 
 FLOW_MAGIC = b"AHMS"
 FLOW_FORMAT_VERSION = 1
@@ -48,14 +48,21 @@ class TVL1Params:
     pyramid_scale: float = field(default=0.5, metadata={"rule": "in (0, 1)"})
 
     def __post_init__(self):
-        problems = field_problems(self)
-        if not problems and self.tau * self.theta > 0.125 + 1e-12:
-            problems.append(
-                f"tau*theta = {self.tau * self.theta:.4f} exceeds the dual-step "
-                "stability bound 0.125"
-            )
-        if problems:
-            raise ValidationError("; ".join(f"tvl1.{p}" for p in problems))
+        check_fields(self, "tvl1", lambda: [] if self.tau * self.theta <= 0.125 + 1e-12
+                     else [f"tau*theta = {self.tau * self.theta:.4f} exceeds the "
+                           "dual-step stability bound 0.125"])
+
+
+@dataclass(frozen=True)
+class FlowOptions:
+    """Feature-extraction knobs that sit outside the TV-L1 solver."""
+
+    region_px: int = field(default=28, metadata={"rule": "positive"})
+    include_nose: bool = False
+    norm: str = field(default="standardize", metadata={"rule": ("standardize", "none")})
+
+    def __post_init__(self):
+        check_fields(self, "flow")
 
 
 @dataclass
@@ -210,14 +217,17 @@ def _bilinear_sample(images: np.ndarray, ys: np.ndarray, xs: np.ndarray) -> np.n
 
 
 def _pyramid(img: np.ndarray, scale: float, max_levels: int | None) -> list[np.ndarray]:
+    """``img`` and its successive ``scale`` reductions, ``max_levels`` levels
+    at most; it ends before a level with a side below ``MIN_PYRAMID_SIDE`` or
+    of the same size as the level above."""
     levels = [img]
-    # antialias strength tied to the decimation ratio
-    sigma = 0.6 * np.sqrt(1.0 / scale ** 2 - 1.0)
     while max_levels is None or len(levels) < max_levels:
         h, w = levels[-1].shape
         nh, nw = int(round(h * scale)), int(round(w * scale))
-        if min(nh, nw) < MIN_PYRAMID_SIDE:
+        if min(nh, nw) < MIN_PYRAMID_SIDE or (nh, nw) == (h, w):
             break
+        # antialias strength tied to the decimation ratio
+        sigma = 0.6 * np.sqrt(1.0 / scale ** 2 - 1.0)
         smoothed = _gaussian_blur(levels[-1], sigma)
         levels.append(_resize_bilinear(smoothed, nh, nw))
     return levels
@@ -423,32 +433,6 @@ def standardize_channels(feature_map: np.ndarray) -> np.ndarray:
     return out
 
 
-def stack_flow_channels(flow: FlowField, strain: np.ndarray) -> np.ndarray:
-    """Stack (u, v, os) into one H x W x 3 map at source resolution."""
-    if strain.shape != flow.shape:
-        raise DimensionError(
-            f"strain {strain.shape} does not match flow {flow.shape}"
-        )
-    return np.stack([flow.u, flow.v, strain], axis=2)
-
-
-def assemble_flow_map(flow: FlowField, strain: np.ndarray,
-                      out_h: int = 28, out_w: int = 28,
-                      norm: str = "standardize") -> np.ndarray:
-    """Resize the stacked (u, v, os) channels to the network input size.
-
-    norm="standardize" (default) standardizes each channel per sample;
-    norm="none" keeps raw values.
-    """
-    if norm not in ("standardize", "none"):
-        raise ValidationError(f"unknown normalization {norm!r}")
-    stacked = stack_flow_channels(flow, strain)
-    resized = _resize_bilinear(stacked, out_h, out_w)
-    if norm == "standardize":
-        resized = standardize_channels(resized)
-    return resized.astype(np.float64)
-
-
 def compose_regions(full_map: np.ndarray, landmarks: LandmarkSet,
                     region_px: int = 28, out_size: int = 28,
                     include_nose: bool = False) -> np.ndarray:
@@ -499,27 +483,17 @@ def compose_regions(full_map: np.ndarray, landmarks: LandmarkSet,
     return composite
 
 
-def extract_feature_map(onset: np.ndarray, apex: np.ndarray,
-                        landmarks: LandmarkSet | None = None,
-                        tvl1_params: TVL1Params | None = None,
-                        region_px: int = 28, out_size: int = 28,
-                        include_nose: bool = False,
-                        norm: str = "standardize") -> np.ndarray:
-    """Full per-sample pipeline: flow, strain, region composite, normalization.
-
-    Without landmarks the whole-frame map is resized instead of composited.
-    """
-    flow = tvl1_flow(onset, apex, tvl1_params)
-    strain = optical_strain(flow)
-    if landmarks is None:
-        return assemble_flow_map(flow, strain, out_size, out_size, norm=norm)
-    full = stack_flow_channels(flow, strain)
-    composite = compose_regions(full, landmarks, region_px=region_px,
-                                out_size=out_size, include_nose=include_nose)
-    if norm == "standardize":
+def extract_feature_map(onset: np.ndarray, apex: np.ndarray, landmarks: LandmarkSet,
+                        tvl1: TVL1Params | None = None, flow: FlowOptions | None = None,
+                        out_size: int = 28) -> np.ndarray:
+    """Full per-sample pipeline: flow, strain, region composite, normalization."""
+    flow = flow or FlowOptions()
+    motion = tvl1_flow(onset, apex, tvl1)
+    full = np.stack([motion.u, motion.v, optical_strain(motion)], axis=2)
+    composite = compose_regions(full, landmarks, region_px=flow.region_px,
+                                out_size=out_size, include_nose=flow.include_nose)
+    if flow.norm == "standardize":
         composite = standardize_channels(composite)
-    elif norm != "none":
-        raise ValidationError(f"unknown normalization {norm!r}")
     return composite
 
 

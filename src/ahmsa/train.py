@@ -29,12 +29,7 @@ from .data import (
     uar,
     uf1,
 )
-from .errors import (
-    ConfigError,
-    TrainingDivergedError,
-    ValidationError,
-    field_problems,
-)
+from .errors import TrainingDivergedError, ValidationError, check_fields
 from .model import ModelConfig, ModelParams, forward, init_model
 from .tensor import adam_step, cross_entropy, init_adam, no_grad, zero_grads
 from .workers import forked_map
@@ -56,10 +51,8 @@ class TrainConfig:
     # epochs between loss log lines; 0 disables
     log_every: int = field(default=0, metadata={"rule": ">= 0"})
 
-    def validate(self) -> None:
-        problems = field_problems(self)
-        if problems:
-            raise ConfigError("; ".join(f"train.{p}" for p in problems))
+    def __post_init__(self):
+        check_fields(self, "train")
 
 
 def desk_scale_config(seed: int = 0) -> TrainConfig:
@@ -120,7 +113,6 @@ def train_fold(maps: np.ndarray, labels: np.ndarray, model_config: ModelConfig,
     ``maps`` is an [N, H, W, 3] batch of feature maps aligned with ``labels``.
     Returns the trained parameters and the per-epoch mean loss history.
     """
-    train_config.validate()
     maps = np.asarray(maps, dtype=np.float32)
     labels = np.asarray(labels, dtype=np.int64)
     n = len(labels)
@@ -221,8 +213,6 @@ def run_loso(manifest: DatasetManifest, maps: np.ndarray,
     worker processes; a worker that dies or raises raises an ``AhmsaError``
     naming its fold.  A count below 1 is a ``ConfigError``.
     """
-    model_config.validate()
-    train_config.validate()
     maps = np.asarray(maps, dtype=np.float32)
     if maps.shape[0] != len(manifest):
         raise ValidationError(

@@ -47,12 +47,11 @@ Result = TypeVar("Result")
 _END = object()  # the task iterator is exhausted
 
 
-def worker_count(requested: int | None = None) -> int:
-    """``requested`` workers, by default the CPUs this process may use, capped
-    by ``AHMSA_THREADS`` (``forked_map`` caps them by the tasks)."""
-    if requested is None:
-        requested = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                     else os.cpu_count() or 1)
+def worker_count() -> int:
+    """The CPUs this process may use, capped by ``AHMSA_THREADS``
+    (``forked_map`` caps them by the tasks)."""
+    count = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count() or 1)
     env_cap = os.environ.get(THREAD_ENV_VAR)
     if env_cap is not None:
         try:
@@ -62,8 +61,8 @@ def worker_count(requested: int | None = None) -> int:
         if cap < 1:
             raise ConfigError(
                 f"{THREAD_ENV_VAR} must be a positive integer, got {env_cap!r}")
-        requested = min(requested, cap)
-    return requested
+        count = min(count, cap)
+    return count
 
 
 # (set, get) thread-count functions of the OpenBLAS numpy wheels bundle, then

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import textwrap
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,7 @@ import ahmsa.data
 import ahmsa.optflow
 import ahmsa.train
 import ahmsa.workers
+from ahmsa import FlowOptions, ModelConfig, TrainConfig, TVL1Params
 from ahmsa.cli import build_run_config, confusion_to_csv, confusion_to_svg, main
 from ahmsa.errors import AhmsaError, ConfigError
 
@@ -93,13 +95,13 @@ def test_program_never_imports_scipy(tmp_path):
 
         import ahmsa, ahmsa.cli
         from ahmsa.data import gen_synthetic
-        from ahmsa.optflow import extract_feature_map, read_pgm
+        from ahmsa.optflow import FlowOptions, extract_feature_map, read_pgm
 
         manifest, _ = gen_synthetic(Path(sys.argv[1]), seed=3, n_subjects=2,
                                     samples_per_subject=3, image_size=32)
         sample = manifest.samples[0]
         extract_feature_map(read_pgm(sample.onset_path), read_pgm(sample.apex_path),
-                            sample.landmarks, region_px=16)
+                            sample.landmarks, flow=FlowOptions(region_px=16))
         print(sorted(name for name in sys.modules
                      if name == "scipy" or name.startswith("scipy.")))
     """)
@@ -240,6 +242,19 @@ def test_extract_flow_rejects_mistyped_tvl1_config(dataset, tmp_path, capsys, ke
 def test_extract_flow_rejects_mistyped_train_and_flow_config(dataset, tmp_path, capsys,
                                                               key, value):
     _assert_extract_flow_config_error(dataset, tmp_path, capsys, key, value)
+
+
+def test_extract_flow_accepts_a_vanishing_pyramid_scale(dataset, tmp_path, capsys,
+                                                        monkeypatch):
+    # one level per frame; in this process a failure would be a raw traceback
+    monkeypatch.setenv("AHMSA_THREADS", "1")
+    flow_dir = tmp_path / "flow"
+    code = run_cli("extract-flow", "--manifest", str(dataset / "manifest.csv"),
+                   "--out-dir", str(flow_dir), "--config",
+                   str(write_config(tmp_path, {"tvl1.pyramid_scale": 1e-300})))
+    capsys.readouterr()
+    assert code == 0
+    assert len(list(flow_dir.glob("*.flow"))) == 6
 
 
 def _assert_extract_flow_config_error(dataset, tmp_path, capsys, key, value):
@@ -502,15 +517,13 @@ def test_loso_parallel_folds_match_sequential(dataset, tmp_path, capsys, monkeyp
     results = []
     for sub, workers in (("seq", "1"), ("par", "2"), ("default", None)):
         out_dir = tmp_path / sub
-        flag = []
         if workers is None:
             monkeypatch.delenv("AHMSA_THREADS", raising=False)
         else:
             monkeypatch.setenv("AHMSA_THREADS", workers)
-            flag = ["--parallel-folds", workers]
         assert run_cli("loso", "--manifest", str(dataset / "manifest.csv"),
                        "--extract", "--out-dir", str(out_dir),
-                       "--config", str(cfg), *flag) == 0
+                       "--config", str(cfg)) == 0
         results.append((out_dir / "metrics.json").read_bytes())
     capsys.readouterr()
     assert results[0] == results[1] == results[2]
@@ -518,38 +531,32 @@ def test_loso_parallel_folds_match_sequential(dataset, tmp_path, capsys, monkeyp
 
 @pytest.mark.skipif(not ahmsa.workers.openblas_thread_controls(),
                     reason="no OpenBLAS thread setter: folds run in-process")
-def test_loso_worker_death_exit_1(dataset, tmp_path, capsys, monkeypatch):
+def test_loso_worker_death_exit_1(dataset, tmp_path, capsys, monkeypatch, four_cpus):
     def die(fold_index, subject, *args):
         os._exit(7)
 
     monkeypatch.setattr(ahmsa.train, "_run_one_fold", die)
-    monkeypatch.delenv("AHMSA_THREADS", raising=False)
+    monkeypatch.setenv("AHMSA_THREADS", "2")
     code = run_cli("loso", "--manifest", str(dataset / "manifest.csv"),
                    "--extract", "--out-dir", str(tmp_path / "o"),
-                   "--config", str(write_config(tmp_path)), "--parallel-folds", "2")
+                   "--config", str(write_config(tmp_path)))
     assert code == 1
     err = capsys.readouterr().err
     assert "error: fold 's0" in err and "exit code 7" in err
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("flag, env", [
-    ("0", None), ("-4", None), (None, "-3"), (None, "0"), ("2", "-1"), (None, "two"),
-])
+@pytest.mark.parametrize("env", ["-3", "0", "-1", "two"])
 def test_loso_rejects_non_positive_fold_counts(dataset, tmp_path, capsys, monkeypatch,
-                                               flag, env):
-    if env is None:
-        monkeypatch.delenv("AHMSA_THREADS", raising=False)
-    else:
-        monkeypatch.setenv("AHMSA_THREADS", env)
-    extra = [] if flag is None else ["--parallel-folds", flag]
+                                               env):
+    monkeypatch.setenv("AHMSA_THREADS", env)
     code = run_cli("loso", "--manifest", str(dataset / "manifest.csv"),
                    "--extract", "--out-dir", str(tmp_path / "o"),
-                   "--config", str(write_config(tmp_path)), *extra)
+                   "--config", str(write_config(tmp_path)))
     assert code == 2
     err = capsys.readouterr().err
-    name = "--parallel-folds" if env is None else "AHMSA_THREADS"
-    assert err.startswith("config error:") and name in err and "Traceback" not in err
+    assert (err.startswith("config error:") and "AHMSA_THREADS" in err
+            and "Traceback" not in err)
     assert not (tmp_path / "o").exists()  # rejected before any fold ran
 
 
@@ -614,8 +621,7 @@ def test_interrupt_ends_the_workers(dataset, interrupt_dataset, tmp_path, comman
         cfg = write_config(tmp_path, {"train.epochs": 5000, "train.batch_size": 4,
                                       "train.log_every": 1})
         argv = ["loso", "--manifest", str(dataset / "manifest.csv"), "--extract",
-                "--out-dir", str(tmp_path / "o"), "--config", str(cfg),
-                "--parallel-folds", "2"]
+                "--out-dir", str(tmp_path / "o"), "--config", str(cfg)]
         started = "epoch 1/5000 "  # the first epoch line of a fold worker
     env = dict(os.environ, AHMSA_THREADS="2",
                PYTHONPATH=os.pathsep.join([str(Path(ahmsa.__file__).parents[1]),
@@ -650,8 +656,7 @@ def test_workers_die_with_a_killed_parent(dataset, tmp_path):
                    "--out-dir", str(flow_dir), "--config", str(cfg)) == 0
     cfg = write_config(tmp_path, {"train.epochs": 5000, "train.batch_size": 4})
     argv = ["loso", "--manifest", str(dataset / "manifest.csv"), "--flow-dir",
-            str(flow_dir), "--out-dir", str(tmp_path / "o"), "--config", str(cfg),
-            "--parallel-folds", "2"]
+            str(flow_dir), "--out-dir", str(tmp_path / "o"), "--config", str(cfg)]
     env = dict(os.environ, AHMSA_THREADS="2",
                PYTHONPATH=os.pathsep.join([str(Path(ahmsa.__file__).parents[1]),
                                            os.environ.get("PYTHONPATH", "")]))
@@ -896,6 +901,19 @@ def test_build_run_config_rejects_mistyped_flow_options(key, value, problem):
         build_run_config(None, {key: value})
 
 
+@pytest.mark.parametrize("section, cls, key, bad", [
+    ("model", ModelConfig, "heads", 0),
+    ("train", TrainConfig, "batch_size", "3"),
+    ("tvl1", TVL1Params, "pyramid_scale", 1.0),
+    ("flow", FlowOptions, "norm", "zscore"),
+], ids=["model", "train", "tvl1", "flow"])
+def test_every_config_section_checks_itself_when_built(section, cls, key, bad):
+    # the sections are frozen and replace() runs the check again, so no
+    # invalid instance can exist
+    with pytest.raises(ConfigError, match=re.escape(f"{section}.{key} must be ")):
+        replace(cls(), **{key: bad})
+
+
 def test_build_run_config_reports_every_section_at_once():
     with pytest.raises(ConfigError) as err:
         build_run_config(None, {"tvl1.theta": -1, "train.epochs": 0, "model.heads": 0,
@@ -986,7 +1004,8 @@ def test_build_run_config_arbitrary_values(tmp_path, values):
         run = build_run_config(str(path), {})
     except AhmsaError:
         return
-    run.validate()
+    for section in (run.model, run.train, run.tvl1, run.flow):
+        replace(section)  # builds it anew, and so checks it again
 
 
 def test_confusion_csv_format():

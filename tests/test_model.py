@@ -61,7 +61,7 @@ def rand_maps(rng, b, cfg):
 
 
 def test_default_config_is_valid():
-    ModelConfig().validate()
+    ModelConfig()
 
 
 @pytest.mark.parametrize("overrides,fragment", [
@@ -75,15 +75,13 @@ def test_default_config_is_valid():
 ])
 def test_config_validation_names_invariant(overrides, fragment):
     from dataclasses import replace
-    cfg = replace(ModelConfig(), **overrides)
     with pytest.raises(ConfigError, match=fragment):
-        cfg.validate()
+        replace(ModelConfig(), **overrides)
 
 
 def test_config_validation_lists_all_problems():
-    cfg = ModelConfig(embed_channels=97, patch_size=5)
     with pytest.raises(ConfigError) as err:
-        cfg.validate()
+        ModelConfig(embed_channels=97, patch_size=5)
     assert "divisible by heads" in str(err.value)
     assert "patch_size" in str(err.value)
 
@@ -635,7 +633,7 @@ def test_load_checkpoint_arbitrary_bytes(tmp_path, raw):
 
 def test_model_config_type_errors_are_config_errors():
     with pytest.raises(ConfigError, match="heads must be an integer"):
-        ModelConfig(heads="3").validate()
+        ModelConfig(heads="3")
 
 
 # -- channels-last layout against the [B,C,H,W] composition ------------------------------------

@@ -9,14 +9,13 @@ from ahmsa.errors import AhmsaError, ValidationError
 from ahmsa.optflow import (
     FlowField,
     LandmarkSet,
+    FlowOptions,
     TVL1Params,
-    assemble_flow_map,
     compose_regions,
     extract_feature_map,
     optical_strain,
     read_flow_map,
     read_pgm,
-    stack_flow_channels,
     standardize_channels,
     tvl1_flow,
     write_flow_map,
@@ -212,6 +211,15 @@ def test_pyramid_matches_scipy_reference(size, n_levels):
     assert _same_bits(got, want)
 
 
+@pytest.mark.parametrize("scale,sides", [(0.99, [32]), (1e-300, [32]),
+                                         (0.98, list(range(32, 23, -1)))])
+def test_pyramid_stops_where_a_level_would_not_shrink(scale, sides):
+    # round(32 * 0.99) is 32 again, as is round(24 * 0.98) for 24; and
+    # 1e-300 ** 2 underflows to 0, which the blur width divides by
+    levels = optflow._pyramid(np.zeros((32, 32)), scale, None)
+    assert [level.shape for level in levels] == [(side, side) for side in sides]
+
+
 # -- stacked-field solver against the per-field scheme -------------------------
 
 
@@ -388,8 +396,8 @@ def test_tvl1_flow_file_bytes_match_reference(tmp_path, dims):
     flow = tvl1_flow(onset, apex, params)
     ref = FlowField(*_reference_tvl1_flow(onset, apex, params))
     for name, fl in (("got", flow), ("want", ref)):
-        write_flow_map(tmp_path / f"{name}.flow",
-                       assemble_flow_map(fl, optical_strain(fl)).astype(np.float32))
+        stacked = np.stack([fl.u, fl.v, optical_strain(fl)], axis=2)
+        write_flow_map(tmp_path / f"{name}.flow", stacked)
     assert (tmp_path / "got.flow").read_bytes() == (tmp_path / "want.flow").read_bytes()
 
 
@@ -464,39 +472,18 @@ def test_strain_rejects_tiny_fields():
         optical_strain(FlowField(u=np.zeros((2, 5)), v=np.zeros((2, 5))))
 
 
-# -- assemble_flow_map ---------------------------------------------------------------
+# -- standardize_channels ------------------------------------------------------------
 
 
-def test_assemble_zero_flow_gives_zero_map():
-    flow = FlowField(u=np.zeros((40, 40)), v=np.zeros((40, 40)))
-    out = assemble_flow_map(flow, np.zeros((40, 40)))
-    assert out.shape == (28, 28, 3)
-    np.testing.assert_array_equal(out, 0.0)
-
-
-@pytest.mark.parametrize("dims", [(30, 30), (64, 48), (28, 28)])
-def test_assemble_output_shape_contract(dims):
-    rng = np.random.default_rng(1)
-    flow = FlowField(u=rng.standard_normal(dims), v=rng.standard_normal(dims))
-    out = assemble_flow_map(flow, np.abs(rng.standard_normal(dims)))
-    assert out.shape == (28, 28, 3)
-    assert np.all(np.isfinite(out))
-
-
-def test_assemble_standardization_moments():
+def test_standardization_moments():
     rng = np.random.default_rng(2)
-    flow = FlowField(u=rng.standard_normal((40, 40)) * 3 + 1,
-                     v=rng.standard_normal((40, 40)) * 0.5 - 2)
-    out = assemble_flow_map(flow, np.abs(rng.standard_normal((40, 40))))
+    fmap = np.stack([rng.standard_normal((28, 28)) * 3 + 1,
+                     rng.standard_normal((28, 28)) * 0.5 - 2,
+                     np.abs(rng.standard_normal((28, 28)))], axis=2)
+    out = standardize_channels(fmap)
     for c in range(3):
         assert abs(out[:, :, c].mean()) < 1e-5
         assert abs(out[:, :, c].var() - 1.0) < 1e-4
-
-
-def test_assemble_norm_none_keeps_values():
-    flow = FlowField(u=np.full((28, 28), 2.0), v=np.zeros((28, 28)))
-    out = assemble_flow_map(flow, np.zeros((28, 28)), norm="none")
-    np.testing.assert_allclose(out[:, :, 0], 2.0)
 
 
 # -- compose_regions ------------------------------------------------------------------
@@ -574,6 +561,18 @@ def test_extract_feature_map_end_to_end():
     out = extract_feature_map(tex, apex, lm)
     assert out.shape == (28, 28, 3)
     assert np.all(np.isfinite(out))
+
+
+def test_extract_feature_map_norm_none_keeps_values():
+    tex = smooth_texture(11)
+    apex = fourier_shift(tex, 0.0, 1.5)
+    lm = LandmarkSet(left_eye=(19, 22), right_eye=(45, 22), nose=(32, 32),
+                     left_lip=(22, 44), right_lip=(42, 44))
+    raw = extract_feature_map(tex, apex, lm, flow=FlowOptions(norm="none"))
+    # a 1.5 px shift along x: raw u stays near 1.5 instead of mean 0
+    assert abs(np.median(raw[:, :, 0]) - 1.5) < 0.3
+    np.testing.assert_array_equal(standardize_channels(raw),
+                                  extract_feature_map(tex, apex, lm))
 
 
 # -- file formats --------------------------------------------------------------------------

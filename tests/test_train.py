@@ -51,12 +51,11 @@ def test_train_config_defaults():
     assert cfg.epochs == 800
     assert cfg.learning_rate == 5e-6
     assert cfg.batch_size == 256
-    cfg.validate()
 
 
 def test_train_config_validation_lists_problems():
     with pytest.raises(ConfigError) as err:
-        TrainConfig(epochs=0, batch_size=0).validate()
+        TrainConfig(epochs=0, batch_size=0)
     assert "epochs" in str(err.value) and "batch_size" in str(err.value)
 
 
@@ -76,12 +75,11 @@ def test_train_config_validation_lists_problems():
 ])
 def test_train_config_rejects_wrong_types(field, value, problem):
     with pytest.raises(ConfigError, match=problem):
-        TrainConfig(**{field: value}).validate()
+        TrainConfig(**{field: value})
 
 
 def test_train_config_accepts_numpy_scalars():
-    TrainConfig(epochs=np.int64(3), learning_rate=np.float32(1e-3),
-                seed=np.uint8(2)).validate()
+    TrainConfig(epochs=np.int64(3), learning_rate=np.float32(1e-3), seed=np.uint8(2))
 
 
 def test_desk_scale_overrides():

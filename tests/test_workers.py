@@ -110,6 +110,8 @@ def test_runs_in_process_without_a_thread_setter(monkeypatch, caplog):
 def test_worker_count_is_capped_by_the_environment(monkeypatch):
     monkeypatch.delenv(THREAD_ENV_VAR, raising=False)
     usable = worker_count()
-    assert usable >= 1 and worker_count(7) == 7
+    assert usable >= 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(7)), raising=False)
+    assert worker_count() == 7
     monkeypatch.setenv(THREAD_ENV_VAR, "2")
-    assert worker_count(7) == 2 and worker_count() == min(usable, 2)
+    assert worker_count() == 2
