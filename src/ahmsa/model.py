@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, ValidationError, check_fields
+from .errors import ConfigError, ValidationError, check_fields
 from .tensor import (
     LayerNormParams,
     Tensor,
@@ -45,7 +45,7 @@ from .tensor import (
 )
 
 CHECKPOINT_MAGIC = b"AHMC"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -115,7 +115,8 @@ class ModelConfig:
 
 @dataclass
 class BlockParams:
-    """One attention block: three pre-norms plus its conv weights."""
+    """One attention block: three pre-norms plus its conv weights (on a 1x1
+    grid no query/key, as a softmax over one position is 1 whatever they are)."""
 
     ln_ca: LayerNormParams
     ca_w1: Tensor
@@ -123,10 +124,10 @@ class BlockParams:
     ca_w2: Tensor
     ca_b2: Tensor
     ln_sa: LayerNormParams
-    q_w: Tensor
-    q_b: Tensor
-    k_w: Tensor
-    k_b: Tensor
+    q_w: Tensor | None
+    q_b: Tensor | None
+    k_w: Tensor | None
+    k_b: Tensor | None
     v_w: Tensor
     v_b: Tensor
     o_w: Tensor
@@ -176,10 +177,11 @@ class ModelParams:
                 out[f"{prefix}.ca.b2"] = blk.ca_b2
                 out[f"{prefix}.ln_sa.gamma"] = blk.ln_sa.gamma
                 out[f"{prefix}.ln_sa.beta"] = blk.ln_sa.beta
-                out[f"{prefix}.sa.q_w"] = blk.q_w
-                out[f"{prefix}.sa.q_b"] = blk.q_b
-                out[f"{prefix}.sa.k_w"] = blk.k_w
-                out[f"{prefix}.sa.k_b"] = blk.k_b
+                if blk.q_w is not None:
+                    out[f"{prefix}.sa.q_w"] = blk.q_w
+                    out[f"{prefix}.sa.q_b"] = blk.q_b
+                    out[f"{prefix}.sa.k_w"] = blk.k_w
+                    out[f"{prefix}.sa.k_b"] = blk.k_b
                 out[f"{prefix}.sa.v_w"] = blk.v_w
                 out[f"{prefix}.sa.v_b"] = blk.v_b
                 out[f"{prefix}.sa.o_w"] = blk.o_w
@@ -204,7 +206,8 @@ def init_model(config: ModelConfig, seed: int, dtype=np.float32) -> ModelParams:
     """Xavier-uniform weights, zero biases, unit layer-norm scales.
 
     The draw sequence is fixed by the parameter order, so a seed fully
-    determines every weight.
+    determines every weight.  The query/key weights of a 1x1 level are drawn
+    and dropped, so every other weight keeps the bytes it would have with them.
     """
     rng = np.random.default_rng(seed)
     c = config.embed_channels
@@ -224,10 +227,10 @@ def init_model(config: ModelConfig, seed: int, dtype=np.float32) -> ModelParams:
     def ln():
         return LayerNormParams(gamma=ones(c), beta=zeros(c))
 
-    def block():
+    def block(level):
         hidden = c // config.channel_reduction
         ffn = c * config.ffn_expansion
-        return BlockParams(
+        blk = BlockParams(
             ln_ca=ln(),
             ca_w1=conv_weight(hidden, c, 1), ca_b1=zeros(hidden),
             ca_w2=conv_weight(c, hidden, 1), ca_b2=zeros(c),
@@ -240,10 +243,14 @@ def init_model(config: ModelConfig, seed: int, dtype=np.float32) -> ModelParams:
             ff_w1=conv_weight(ffn, c, 1), ff_b1=zeros(ffn),
             ff_w2=conv_weight(c, ffn, 1), ff_b2=zeros(c),
         )
+        if config.grid_at(level) == 1:
+            blk.q_w = blk.q_b = blk.k_w = blk.k_b = None
+        return blk
 
     patch_w = conv_weight(c, 3, p)
     patch_b = zeros(c)
-    levels = [[block() for _ in range(n)] for n in config.blocks_per_layer]
+    levels = [[block(level) for _ in range(n)]
+              for level, n in enumerate(config.blocks_per_layer)]
     transitions = [
         TransitionParams(conv_w=conv_weight(c, c, 3), conv_b=zeros(c), ln=ln())
         for _ in range(config.n_layers - 1)
@@ -263,11 +270,14 @@ def parameter_count(config: ModelConfig) -> int:
     ffn = c * config.ffn_expansion
     norm = 2 * c
     block = (3 * norm + 2 * hidden * c + hidden + c  # channel-attention MLP
-             + 4 * (c * c + c)  # q, k, v, o
+             + 2 * (c * c + c)  # v, o
              + 2 * ffn * c + ffn + c)
+    query_key = 2 * (c * c + c)  # only on levels wider than 1x1
+    wide_blocks = sum(n for level, n in enumerate(config.blocks_per_layer)
+                      if config.grid_at(level) > 1)
     transition = 9 * c * c + c + norm
     return (3 * config.patch_size ** 2 * c + c
-            + sum(config.blocks_per_layer) * block
+            + sum(config.blocks_per_layer) * block + wide_blocks * query_key
             + (config.n_layers - 1) * transition
             + c * config.n_classes + config.n_classes)
 
@@ -288,8 +298,7 @@ def patch_embed(x: Tensor, params: ModelParams) -> Tensor:
 def channel_attention(x: Tensor, blk: BlockParams) -> Tensor:
     """Gate the channels of [B,H,W,C] by sigmoid(MLP(avgpool) + MLP(maxpool)).
 
-    The MLP weights are shared by both branches.  On a 1x1 grid both pools
-    are the identity, so ``x`` feeds both branches directly.
+    The MLP weights are shared by both branches.
     """
 
     def squeeze_mlp(pooled: Tensor) -> Tensor:
@@ -297,36 +306,22 @@ def channel_attention(x: Tensor, blk: BlockParams) -> Tensor:
         return linear(hidden, blk.ca_w2, blk.ca_b2)
 
     b, h, w, c = x.shape
-    if h * w == 1:
-        avg = mx = x
-    else:
-        # [B,1,N,C] views pooled to [B,1,1,C]: one window per channel over all
-        # N positions.  Two views, so x collects both pool gradients in the
-        # order the 1x1 shortcut above gives it.
-        positions = (b, 1, h * w, c)
-        avg = adaptive_pool(reshape(x, positions), 1, c, "avg")
-        mx = adaptive_pool(reshape(x, positions), 1, c, "max")
+    # [B,1,N,C] views pooled to [B,1,1,C]: one window per channel over all N
+    # positions
+    positions = (b, 1, h * w, c)
+    avg = adaptive_pool(reshape(x, positions), 1, c, "avg")
+    mx = adaptive_pool(reshape(x, positions), 1, c, "max")
     weights = sigmoid(squeeze_mlp(avg) + squeeze_mlp(mx))  # [B,1,1,C]
     return x * weights
 
 
 def spatial_attention(x: Tensor, blk: BlockParams, heads: int,
                       return_weights: bool = False):
-    """Multi-head scaled dot-product attention over the N = H*W positions of [B,H,W,C].
-
-    On a 1x1 grid the softmax over one position is exactly 1, so the output
-    is the projected values ``o(v(x))`` and the weights are all ones.
-    """
+    """Multi-head scaled dot-product attention over the N = H*W positions of
+    [B,H,W,C]."""
     b, h, w, c = x.shape
-    if c % heads != 0:
-        raise ConfigError(f"channels {c} not divisible by heads {heads}")
     d = c // heads
     n = h * w
-    if n == 1:
-        out = linear(linear(x, blk.v_w, blk.v_b), blk.o_w, blk.o_b)
-        if return_weights:
-            return out, Tensor(np.ones((b, heads, 1, 1), dtype=x.dtype))
-        return out
 
     def split_heads(t: Tensor) -> Tensor:
         return transpose(reshape(t, (b, n, heads, d)), (0, 2, 1, 3))  # [B,h,N,D]
@@ -355,9 +350,10 @@ def _single_position_block(x: Tensor, blk: BlockParams) -> Tensor:
     It runs the numpy operations of the composed block in the same order:
     channel attention's MLP once, because both of its pools are the identity
     (``s + s`` and the doubled weight gradients are exact), and spatial
-    attention as ``o(v(.))``.  The backward adds every tensor's gradient
-    contributions in the order the tape's reverse topological walk adds them
-    for the composed block, so logits and gradients are bit-identical.
+    attention as ``o(v(.))``, as its softmax over one position is exactly 1.
+    The backward adds every tensor's gradient contributions in the order the
+    tape's reverse topological walk adds them for the composed block, so
+    logits and gradients are bit-identical.
     """
     x0 = np.transpose(x.data, (0, 2, 3, 1))  # [B,1,1,C]
     l1, xhat1, inv1, gb1 = _normalize(x0, blk.ln_ca, 3)
@@ -434,10 +430,6 @@ def downsample(x: Tensor, tr: TransitionParams, factor: int) -> Tensor:
     memory layout, which the next block's channels-last view then reads.
     """
     _, _, h, w = x.shape
-    if h % factor != 0 or w % factor != 0:
-        raise ConfigError(
-            f"grid {h}x{w} not divisible by downsample factor {factor}"
-        )
     y = conv2d(x, tr.conv_w, tr.conv_b, stride=1, padding=1)
     y = layer_norm(transpose(y, (0, 2, 3, 1)), tr.ln)
     return adaptive_pool(transpose(y, (0, 3, 1, 2)), h // factor, w // factor, "max")
@@ -468,25 +460,15 @@ def forward(maps, params: ModelParams, trace: list | None = None) -> Tensor:
     if trace is not None:
         trace.append(tuple(x.shape))
     x = patch_embed(x, params)
-    expected = (x.shape[0], cfg.embed_channels, cfg.grid, cfg.grid)
-    if x.shape != expected:
-        raise DimensionError(f"patch embedding produced {x.shape}, expected {expected}")
     if trace is not None:
         trace.append(tuple(x.shape))
     for level, blocks in enumerate(params.levels):
-        side = cfg.grid_at(level)
-        if x.shape[2:] != (side, side):
-            raise DimensionError(
-                f"level {level} expected a {side}x{side} grid, got {x.shape[2:]}"
-            )
         for blk in blocks:
             x = msa_block(x, blk, cfg.heads)
         if level < cfg.n_layers - 1:
             x = downsample(x, params.transitions[level], cfg.downsample_factor)
             if trace is not None:
                 trace.append(tuple(x.shape))
-    if x.shape[2:] != (1, 1):
-        raise DimensionError(f"top level must be 1x1, got grid {x.shape[2:]}")
     feats = reshape(x, (x.shape[0], cfg.embed_channels))
     logits = matmul(feats, params.head_w) + params.head_b
     if trace is not None:

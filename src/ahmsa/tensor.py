@@ -682,12 +682,9 @@ class AdamState:
 
     ``init_adam`` moves every parameter into the flat ``data`` arena, in
     parameter order, and binds each ``Tensor.data`` to its view there
-    (``views``).  ``m`` and ``v`` are laid out like ``data``.  ``skipped``
-    names the parameters that have never had a gradient: their moments are
-    still zero, so an update would move nothing and ``adam_step`` leaves them
-    out.  ``groups`` holds (start, stop, names) runs of whole consecutive
-    parameters that are not skipped, of at most ADAM_GROUP_ELEMS elements (a
-    larger parameter runs alone).
+    (``views``).  ``m`` and ``v`` are laid out like ``data``.  ``groups``
+    holds (start, stop, names) runs of whole consecutive parameters, of at
+    most ADAM_GROUP_ELEMS elements (a larger parameter runs alone).
     """
 
     lr: float
@@ -700,7 +697,6 @@ class AdamState:
     v: np.ndarray = field(default_factory=lambda: np.zeros(0))
     views: dict[str, np.ndarray] = field(default_factory=dict)
     groups: list[tuple[int, int, tuple[str, ...]]] = field(default_factory=list)
-    skipped: set[str] = field(default_factory=set)
 
     def __post_init__(self):
         if self.lr < 0:
@@ -711,20 +707,18 @@ class AdamState:
             )
 
 
-def _adam_groups(views: dict[str, np.ndarray], skipped: set[str]):
-    """Runs of whole consecutive arena parameters; a skipped one ends a run."""
+def _adam_groups(views: dict[str, np.ndarray]):
+    """Runs of whole consecutive arena parameters."""
     groups: list[tuple[int, int, tuple[str, ...]]] = []
     names: list[str] = []
     start = offset = 0
     for name, view in views.items():
         stop = offset + view.size
-        if names and (name in skipped or stop - start > ADAM_GROUP_ELEMS):
+        if names and stop - start > ADAM_GROUP_ELEMS:
             groups.append((start, offset, tuple(names)))
             names = []
-        if name not in skipped:
-            if not names:
-                start = offset
-            names.append(name)
+            start = offset
+        names.append(name)
         offset = stop
     if names:
         groups.append((start, offset, tuple(names)))
@@ -751,7 +745,7 @@ def init_adam(params: dict[str, Tensor], lr: float, beta1: float = 0.9,
         view[...] = p.data
         p.data = state.views[name] = view
         offset = stop
-    state.groups = _adam_groups(state.views, state.skipped)
+    state.groups = _adam_groups(state.views)
     return state
 
 
@@ -760,17 +754,12 @@ def adam_step(params: dict[str, Tensor], state: AdamState) -> None:
 
     Each element sees the per-tensor update's operations in the same order,
     so the result is bit-identical to updating one parameter at a time.  A
-    parameter that has never had a gradient is skipped (its update would be
-    exactly 0); one that had a gradient before but has none now gets the
-    zero-gradient update, which still moves it by its moments.
+    parameter without a gradient gets the zero-gradient update, which moves
+    it by its moments (and not at all while they are still zero).
     """
-    skipped = set()
     for name, p in params.items():
-        if p._grad is None:
-            if not p.requires_grad:
-                raise UsageError(f"parameter {name!r} has no gradient buffer")
-            if state.step_count == 0 or name in state.skipped:
-                skipped.add(name)
+        if p._grad is None and not p.requires_grad:
+            raise UsageError(f"parameter {name!r} has no gradient buffer")
         view = state.views.get(name)
         if view is None:
             raise UsageError(f"optimizer state is missing buffers for {name!r}")
@@ -781,9 +770,6 @@ def adam_step(params: dict[str, Tensor], state: AdamState) -> None:
     if len(params) != len(state.views):
         missing = sorted(set(state.views) - set(params))
         raise UsageError(f"parameters {missing} of the optimizer state were not passed")
-    if skipped != state.skipped:
-        state.skipped = skipped
-        state.groups = _adam_groups(state.views, skipped)
     state.step_count += 1
     t = state.step_count
     bc1 = 1.0 - state.beta1 ** t

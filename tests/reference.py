@@ -1,5 +1,7 @@
 """Straightforward implementations that tests compare the fast paths against."""
 
+from dataclasses import replace
+
 import numpy as np
 
 
@@ -21,12 +23,25 @@ def per_tensor_adam_step(params, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
         p.data -= np.asarray(lr * step, dtype=p.data.dtype)
 
 
+def with_stand_in_query_key(blk):
+    """``blk``, given constant query/key projections if it has none (a 1x1
+    level's block), so attention runs its full path.  The softmax over one
+    position is exactly 1 whatever they are, and they receive no gradient."""
+    from ahmsa.tensor import Tensor
+
+    if blk.q_w is not None:
+        return blk
+    w, b = Tensor(blk.v_w.data), Tensor(blk.v_b.data)
+    return replace(blk, q_w=w, q_b=b, k_w=w, k_b=b)
+
+
 def composed_block(x, blk, heads):
     """msa_block as a composition of its sub-modules on every grid size,
-    the 1x1 grid included (one tape node per op)."""
+    the 1x1 grid included (one tape node per op, and no 1x1 shortcut)."""
     from ahmsa.model import channel_attention, feed_forward, spatial_attention
     from ahmsa.tensor import layer_norm, transpose
 
+    blk = with_stand_in_query_key(blk)
     x = transpose(x, (0, 2, 3, 1))
     x = x + channel_attention(layer_norm(x, blk.ln_ca), blk)
     x = x + spatial_attention(layer_norm(x, blk.ln_sa), blk, heads)
@@ -35,8 +50,8 @@ def composed_block(x, blk, heads):
 
 
 def reference_train_fold(maps, labels, model_config, train_config):
-    """train_fold's loop with the per-tensor Adam step, which updates every
-    parameter, gradient or not.  Returns the parameters and loss history."""
+    """train_fold's loop with the per-tensor Adam step.  Returns the
+    parameters and loss history."""
     from ahmsa.model import forward, init_model
     from ahmsa.tensor import cross_entropy, zero_grads
 

@@ -28,7 +28,6 @@ from ahmsa.tensor import (
     conv2d,
     cross_entropy,
     layer_norm,
-    linear,
     matmul,
     no_grad,
     relu,
@@ -43,7 +42,7 @@ from ahmsa.tensor import (
 import ahmsa.model as model_mod
 from ahmsa.train import TrainConfig, train_fold
 from gradcheck import relative_error
-from reference import composed_block, reference_train_fold
+from reference import composed_block, reference_train_fold, with_stand_in_query_key
 
 
 def small_config():
@@ -108,6 +107,8 @@ def test_init_different_seed_differs():
 @pytest.mark.parametrize("config", [
     ModelConfig(), tiny_config(), small_config(),
     ModelConfig(patch_size=14, n_layers=2, blocks_per_layer=(1, 3), n_classes=5),
+    # every level 1x1, so no block has query/key projections
+    ModelConfig(patch_size=28, downsample_factor=1, blocks_per_layer=(1, 2, 1)),
 ])
 def test_parameter_count_matches_init_model(config):
     params = init_model(config, seed=0)
@@ -125,6 +126,10 @@ def test_init_default_shapes():
     assert blk.ca_w1.shape == (24, 96, 1, 1)
     assert blk.ff_w1.shape == (384, 96, 1, 1)
     assert blk.q_w.shape == (96, 96, 1, 1)
+    for level, wide in enumerate((True, True, False)):
+        for blk in params.levels[level]:
+            assert all((t is not None) == wide
+                       for t in (blk.q_w, blk.q_b, blk.k_w, blk.k_b)), level
 
 
 def test_init_rejects_invalid_config():
@@ -220,7 +225,7 @@ def test_channel_attention_symmetric_channels():
 
 def test_spatial_attention_single_token_is_projected_v():
     params = init_model(small_config(), seed=5)
-    blk = params.levels[2][0]
+    blk = params.levels[0][0]
     rng = np.random.default_rng(4)
     x = Tensor(rng.standard_normal((2, 1, 1, 12)).astype(np.float32))
     out = spatial_attention(x, blk, heads=3)
@@ -339,13 +344,6 @@ def test_downsample_shapes():
     assert y.shape == (2, 12, 2, 2)
     z = downsample(y, params.transitions[1], 2)
     assert z.shape == (2, 12, 1, 1)
-
-
-def test_downsample_rejects_indivisible_grid():
-    params = init_model(small_config(), seed=11)
-    x = Tensor(np.zeros((1, 12, 3, 3), dtype=np.float32))
-    with pytest.raises(ConfigError):
-        downsample(x, params.transitions[0], 2)
 
 
 def test_downsample_hot_cell_survives_into_quadrant():
@@ -469,7 +467,7 @@ def test_checkpoint_header(tmp_path):
     save_checkpoint(path, params)
     raw = path.read_bytes()
     assert raw[:4] == b"AHMC"
-    assert raw[4] == 1
+    assert raw[4] == 2
     import json as _json
     import struct as _struct
     (n,) = _struct.unpack_from("<I", raw, 5)
@@ -485,6 +483,18 @@ def test_checkpoint_rejects_truncation(tmp_path):
     (tmp_path / "cut.ckpt").write_bytes(raw[:-8])
     with pytest.raises(ValidationError, match="truncated"):
         load_checkpoint(tmp_path / "cut.ckpt")
+
+
+def test_checkpoint_rejects_version_1(tmp_path):
+    """Version 1 stored query/key projections for 1x1 levels too."""
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, init_model(small_config(), seed=21))
+    raw = bytearray(path.read_bytes())
+    raw[4] = 1
+    (tmp_path / "v1.ckpt").write_bytes(bytes(raw))
+    with pytest.raises(ValidationError,
+                       match="v1.ckpt: unsupported checkpoint version 1"):
+        load_checkpoint(tmp_path / "v1.ckpt")
 
 
 def test_checkpoint_rejects_bad_magic(tmp_path):
@@ -582,7 +592,7 @@ def test_checkpoint_rejects_deeply_nested_config(tmp_path):
 
 
 # Any file content yields a model or an AhmsaError, never another exception.
-# The smallest valid network: 194 parameters, 776 payload bytes.
+# The smallest valid network: 182 parameters, 728 payload bytes.
 FUZZ_CONFIG = {"h_flow": 4, "w_flow": 4, "patch_size": 2, "embed_channels": 2,
                "heads": 1, "n_layers": 2, "downsample_factor": 2,
                "blocks_per_layer": [1, 1], "n_classes": 2, "channel_reduction": 1,
@@ -638,7 +648,8 @@ def test_model_config_type_errors_are_config_errors():
 
 # -- channels-last layout against the [B,C,H,W] composition ------------------------------------
 # The reference below composes the network from conv2d, layer_norm(axis=1),
-# adaptive_pool, softmax and matmul on [B,C,H,W], with no 1x1-grid shortcuts.
+# adaptive_pool, softmax and matmul on [B,C,H,W], with no 1x1-grid shortcuts
+# (a 1x1 block attends through stand-in query/key projections).
 # The model runs its blocks channels-last, which only reorders float sums.
 
 
@@ -652,6 +663,7 @@ def _ref_channel_attention(x, blk):
 
 
 def _ref_spatial_attention(x, blk, heads):
+    blk = with_stand_in_query_key(blk)
     b, c, h, w = x.shape
     d, n = c // heads, h * w
 
@@ -715,68 +727,6 @@ def test_forward_float32_logits_match_nchw_reference():
                                _ref_forward(maps, params).data, rtol=0, atol=1e-4)
 
 
-def _general_spatial_attention(x, blk, heads):
-    """spatial_attention's attention path, taken also on a 1x1 grid."""
-    b, h, w, c = x.shape
-    d, n = c // heads, h * w
-
-    def split_heads(t):
-        return transpose(reshape(t, (b, n, heads, d)), (0, 2, 1, 3))
-
-    q = split_heads(linear(x, blk.q_w, blk.q_b))
-    k = split_heads(linear(x, blk.k_w, blk.k_b))
-    v = split_heads(linear(x, blk.v_w, blk.v_b))
-    weights = softmax(matmul(q, transpose(k, (0, 1, 3, 2))) * (1.0 / np.sqrt(d)), axis=-1)
-    z = reshape(transpose(matmul(weights, v), (0, 2, 1, 3)), (b, h, w, c))
-    return linear(z, blk.o_w, blk.o_b), weights
-
-
-def _general_channel_attention(x, blk):
-    """channel_attention with its pools, taken also on a 1x1 grid."""
-    def squeeze_mlp(pooled):
-        return linear(relu(linear(pooled, blk.ca_w1, blk.ca_b1)), blk.ca_w2, blk.ca_b2)
-
-    b, h, w, c = x.shape
-    positions = (b, 1, h * w, c)
-    avg = adaptive_pool(reshape(x, positions), 1, c, "avg")
-    mx = adaptive_pool(reshape(x, positions), 1, c, "max")
-    return x * sigmoid(squeeze_mlp(avg) + squeeze_mlp(mx))
-
-
-@pytest.mark.parametrize("part", ["sa", "ca"])
-def test_single_position_shortcuts_bit_exact(part):
-    cfg = ModelConfig()
-    params = init_model(cfg, seed=24)
-    blk = params.levels[2][0]
-    block_params = {name: t for name, t in params.named_parameters().items()
-                    if name.startswith("level2.block0.")}
-    rng = np.random.default_rng(24)
-    x0 = rng.standard_normal((5, 1, 1, cfg.embed_channels)).astype(np.float32)
-    g = rng.standard_normal(x0.shape).astype(np.float32)
-
-    def run(fn):
-        zero_grads(block_params)
-        x = Tensor(x0, requires_grad=True)
-        out = fn(x)
-        tsum(out * Tensor(g)).backward()
-        return out, x.grad, {n: t.grad.copy() for n, t in block_params.items()}
-
-    if part == "sa":
-        _, weights = spatial_attention(Tensor(x0), blk, cfg.heads, return_weights=True)
-        _, ref_weights = _general_spatial_attention(Tensor(x0), blk, cfg.heads)
-        assert weights.data.tobytes() == ref_weights.data.tobytes()
-        out, gx, grads = run(lambda x: spatial_attention(x, blk, cfg.heads))
-        ref, ref_gx, ref_grads = run(
-            lambda x: _general_spatial_attention(x, blk, cfg.heads)[0])
-    else:
-        out, gx, grads = run(lambda x: channel_attention(x, blk))
-        ref, ref_gx, ref_grads = run(lambda x: _general_channel_attention(x, blk))
-    assert out.data.tobytes() == ref.data.tobytes()
-    np.testing.assert_array_equal(gx, ref_gx)
-    for name, ref_grad in ref_grads.items():
-        np.testing.assert_array_equal(grads[name], ref_grad, err_msg=name)
-
-
 # -- the fused 1x1 block against the composed sub-modules ----------------------------------------
 # On the 1x1 top level msa_block records one tape node.  Its reference is
 # the composition of channel_attention, spatial_attention and feed_forward
@@ -812,8 +762,7 @@ def test_fused_single_position_block_bit_exact(dtype, batch, passes):
     fused = _block_outputs(msa_block, x0, blk, named, cfg.heads, g, passes)
     composed = _block_outputs(composed_block, x0, blk, named, cfg.heads, g, passes)
     assert fused == composed
-    assert [name for name, grad in fused[3].items() if grad is None] == [
-        f"level2.block0.sa.{w}" for w in ("q_w", "q_b", "k_w", "k_b")]
+    assert all(grad is not None for grad in fused[3].values())
 
 
 def _network_outputs(params, maps, labels):
@@ -846,9 +795,9 @@ def test_fused_network_logits_and_gradients_bit_exact(monkeypatch, dtype):
 
 
 def test_fused_train_fold_bit_exact(monkeypatch):
-    """Three default-config epochs with the fused block and Adam's skip give
-    the parameters and loss history of the composed block with an Adam that
-    updates every parameter."""
+    """Three default-config epochs with the fused block and the arena Adam
+    give the parameters and loss history of the composed block, which runs
+    the full attention path on the 1x1 level, with a per-tensor Adam."""
     cfg = ModelConfig()
     rng = np.random.default_rng(27)
     maps = rng.standard_normal((45, 28, 28, 3)).astype(np.float32)
@@ -864,8 +813,8 @@ def test_fused_train_fold_bit_exact(monkeypatch):
 
 
 def test_default_batch_tape_size_pinned():
-    """One default-config batch-32 loss records 187 ops (355 with the top
-    level composed), and no level-2 Q/K parameter reaches it."""
+    """One default-config batch-32 loss records 187 ops, and every parameter
+    reaches it."""
     cfg = ModelConfig()
     params = init_model(cfg, seed=28)
     rng = np.random.default_rng(28)
@@ -876,8 +825,7 @@ def test_default_batch_tape_size_pinned():
     reached = {id(node) for node in order}
     unreached = {name for name, t in params.named_parameters().items()
                  if id(t) not in reached}
-    assert unreached == {f"level2.block{b}.sa.{w}" for b in range(8)
-                         for w in ("q_w", "q_b", "k_w", "k_b")}
+    assert unreached == set()
 
 
 # -- end-to-end gradient check --------------------------------------------------------------------

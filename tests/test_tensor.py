@@ -736,8 +736,9 @@ def _adam_problem(dtype):
 
     Sizes straddle ADAM_GROUP_ELEMS: a lone small group, a parameter larger
     than a group, several small ones gathered together, and one whose
-    gradient is never touched (a lazily zero buffer).  One gradient arrives
-    as a transposed view, like conv2d's kernel gradient.
+    gradient is never touched (a lazily zero buffer).  ``c`` has moments from
+    step 1 and no gradient at step 2.  One gradient arrives as a transposed
+    view, like conv2d's kernel gradient.
     """
     rng = np.random.default_rng(31)
     big = ADAM_GROUP_ELEMS
@@ -751,7 +752,9 @@ def _adam_problem(dtype):
         g["e"] = np.ascontiguousarray(g["e"].T).T
         return g
 
-    return data, [grads(step) for step in range(4)]
+    steps = [grads(step) for step in range(4)]
+    del steps[1]["c"]
+    return data, steps
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -768,6 +771,7 @@ def test_adam_arena_matches_per_tensor_reference_bit_exact(dtype):
         for name, g in grads.items():
             params[name].grad = g.copy()
             ref[name].grad = g.copy()
+        c_before = params["c"].data.copy()
         adam_step(params, state)
         per_tensor_adam_step(ref, ref_m, ref_v, t, lr=3e-3)
         zero_grads(params)
@@ -777,46 +781,9 @@ def test_adam_arena_matches_per_tensor_reference_bit_exact(dtype):
             assert p.data.tobytes() == ref[name].data.tobytes(), (t, name)
         assert state.m.tobytes() == b"".join(m.tobytes() for m in ref_m.values())
         assert state.v.tobytes() == b"".join(v.tobytes() for v in ref_v.values())
+        assert params["c"].data.tobytes() != c_before.tobytes(), t
+        assert params["idle"].data.tobytes() == data["idle"].tobytes(), t
     assert state.step_count == len(steps)
-
-
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_adam_skips_parameters_that_never_had_a_gradient(dtype):
-    """A never-graded parameter is left out (same bytes as its zero-gradient
-    update, and no buffer is allocated for it); one that had a gradient
-    before still gets the zero-gradient update, which moves it."""
-    data, steps = _adam_problem(dtype)
-    del steps[0]["b"]  # b first gets a gradient at step 2
-    del steps[1]["c"]  # c has moments from step 1, and no gradient at step 2
-    params = {n: Tensor(a.copy(), requires_grad=True) for n, a in data.items()}
-    ref = {n: Tensor(a.copy(), requires_grad=True) for n, a in data.items()}
-    state = init_adam(params, lr=3e-3)
-    ref_m = {n: np.zeros_like(a) for n, a in data.items()}
-    ref_v = {n: np.zeros_like(a) for n, a in data.items()}
-    expected_groups = [  # with b out, c and d fit one group
-        [("a",), ("big",), ("c", "d"), ("e",)],
-        [("a",), ("big",), ("b", "c"), ("d",), ("e",)],
-        [("a",), ("big",), ("b", "c"), ("d",), ("e",)],
-        [("a",), ("big",), ("b", "c"), ("d",), ("e",)],
-    ]
-    for t, grads in enumerate(steps, start=1):
-        for name, g in grads.items():
-            params[name].grad = g.copy()
-            ref[name].grad = g.copy()
-        c_before = params["c"].data.copy()
-        adam_step(params, state)
-        per_tensor_adam_step(ref, ref_m, ref_v, t, lr=3e-3)
-        assert [names for _, _, names in state.groups] == expected_groups[t - 1]
-        assert params["idle"]._grad is None
-        if t == 2:
-            assert "c" not in grads and params["c"].data.tobytes() != c_before.tobytes()
-        zero_grads(params)
-        zero_grads(ref)
-        for name, p in params.items():
-            assert p.data.tobytes() == ref[name].data.tobytes(), (t, name)
-        assert state.m.tobytes() == b"".join(m.tobytes() for m in ref_m.values())
-        assert state.v.tobytes() == b"".join(v.tobytes() for v in ref_v.values())
-    assert state.skipped == {"idle"}
 
 
 def test_init_adam_binds_parameters_to_arena_views():
