@@ -28,6 +28,7 @@ from ahmsa.tensor import (
     conv2d,
     cross_entropy,
     layer_norm,
+    linear,
     matmul,
     no_grad,
     relu,
@@ -725,6 +726,48 @@ def test_forward_float32_logits_match_nchw_reference():
     maps = rand_maps(rng, 8, ModelConfig())
     np.testing.assert_allclose(forward(maps, params).data,
                                _ref_forward(maps, params).data, rtol=0, atol=1e-4)
+
+
+@pytest.mark.parametrize("part", ["sa", "ca"])
+def test_single_position_shortcuts_bit_exact(part):
+    """The two 1x1 identities the fused block is built on, against the
+    general sub-modules: spatial attention with any query/key is ``o(v(.))``
+    with weights of exactly 1, and channel attention's pools pass ``x``
+    through, so both MLP branches see ``x`` itself."""
+    cfg = ModelConfig()
+    params = init_model(cfg, seed=24)
+    blk = params.levels[2][0]
+    block_params = {name: t for name, t in params.named_parameters().items()
+                    if name.startswith("level2.block0.")}
+    rng = np.random.default_rng(24)
+    x0 = rng.standard_normal((5, 1, 1, cfg.embed_channels)).astype(np.float32)
+    g = rng.standard_normal(x0.shape).astype(np.float32)
+
+    def run(fn):
+        zero_grads(block_params)
+        x = Tensor(x0, requires_grad=True)
+        out = fn(x)
+        tsum(out * Tensor(g)).backward()
+        return out, x.grad, {n: t.grad.copy() for n, t in block_params.items()}
+
+    def squeeze_mlp(t):
+        return linear(relu(linear(t, blk.ca_w1, blk.ca_b1)), blk.ca_w2, blk.ca_b2)
+
+    if part == "sa":
+        attend = with_stand_in_query_key(blk)
+        _, weights = spatial_attention(Tensor(x0), attend, cfg.heads, return_weights=True)
+        assert weights.data.tobytes() == np.ones((5, cfg.heads, 1, 1), np.float32).tobytes()
+        out, gx, grads = run(lambda x: spatial_attention(x, attend, cfg.heads))
+        ref, ref_gx, ref_grads = run(
+            lambda x: linear(linear(x, blk.v_w, blk.v_b), blk.o_w, blk.o_b))
+    else:
+        out, gx, grads = run(lambda x: channel_attention(x, blk))
+        ref, ref_gx, ref_grads = run(
+            lambda x: x * sigmoid(squeeze_mlp(x) + squeeze_mlp(x)))
+    assert out.data.tobytes() == ref.data.tobytes()
+    np.testing.assert_array_equal(gx, ref_gx)
+    for name, ref_grad in ref_grads.items():
+        np.testing.assert_array_equal(grads[name], ref_grad, err_msg=name)
 
 
 # -- the fused 1x1 block against the composed sub-modules ----------------------------------------

@@ -786,6 +786,39 @@ def test_adam_arena_matches_per_tensor_reference_bit_exact(dtype):
     assert state.step_count == len(steps)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_adam_skips_parameters_that_never_had_a_gradient(dtype):
+    """A parameter gets the zero-gradient update until its first gradient,
+    which leaves it at its bytes while its moments are zero; from then on it
+    follows the per-tensor update.  The groups never change."""
+    data, steps = _adam_problem(dtype)
+    del steps[0]["b"]  # b first gets a gradient at step 2
+    params = {n: Tensor(a.copy(), requires_grad=True) for n, a in data.items()}
+    ref = {n: Tensor(a.copy(), requires_grad=True) for n, a in data.items()}
+    state = init_adam(params, lr=3e-3)
+    groups = list(state.groups)
+    ref_m = {n: np.zeros_like(a) for n, a in data.items()}
+    ref_v = {n: np.zeros_like(a) for n, a in data.items()}
+    for t, grads in enumerate(steps, start=1):
+        for name, g in grads.items():
+            params[name].grad = g.copy()
+            ref[name].grad = g.copy()
+        adam_step(params, state)
+        per_tensor_adam_step(ref, ref_m, ref_v, t, lr=3e-3)
+        assert state.groups == groups
+        if t == 1:
+            assert params["b"].data.tobytes() == data["b"].tobytes()
+        else:
+            assert params["b"].data.tobytes() != data["b"].tobytes(), t
+        assert params["idle"].data.tobytes() == data["idle"].tobytes(), t
+        zero_grads(params)
+        zero_grads(ref)
+        for name, p in params.items():
+            assert p.data.tobytes() == ref[name].data.tobytes(), (t, name)
+        assert state.m.tobytes() == b"".join(m.tobytes() for m in ref_m.values())
+        assert state.v.tobytes() == b"".join(v.tobytes() for v in ref_v.values())
+
+
 def test_init_adam_binds_parameters_to_arena_views():
     data, _ = _adam_problem(np.float32)
     params = {n: Tensor(a.copy(), requires_grad=True) for n, a in data.items()}
