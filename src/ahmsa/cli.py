@@ -58,6 +58,13 @@ class RunConfig:
     tvl1: TVL1Params
     flow: FlowOptions
 
+    def __post_init__(self):
+        # the region composite, a 2x2 tiling of landmark crops, is the
+        # network's h_flow x w_flow input
+        if self.model.h_flow % 2 != 0:
+            raise ConfigError("model.h_flow must be even for the 2x2 region "
+                              f"composite, got {self.model.h_flow}")
+
     def flat_dict(self) -> dict:
         out = {}
         for section_name, section in (("model", self.model), ("train", self.train),

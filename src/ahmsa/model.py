@@ -544,7 +544,6 @@ def load_checkpoint(path) -> ModelParams:
         if not np.isfinite(flat).all():
             raise ValidationError(f"{path}: non-finite values in parameter {name!r}")
         tensor.data = flat.reshape(tensor.data.shape).copy()
-        tensor.grad = np.zeros_like(tensor.data)
         offset += tensor.data.size * 4
     return params
 

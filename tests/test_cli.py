@@ -645,6 +645,10 @@ def test_interrupt_ends_the_workers(dataset, interrupt_dataset, tmp_path, comman
     assert "Traceback" not in err
     assert err.endswith("interrupted\n")
     assert not [pid for pid, since in workers if _still_running(pid, since)]
+    if command == "extract-flow":  # every file is whole, under its final name
+        written = list((tmp_path / "flow").iterdir())
+        assert all(p.suffix == ".flow" for p in written)  # no temp file is left
+        assert all(ahmsa.optflow.read_flow_map(p).shape == (28, 28, 3) for p in written)
 
 
 @forks
@@ -914,6 +918,26 @@ def test_every_config_section_checks_itself_when_built(section, cls, key, bad):
         replace(cls(), **{key: bad})
 
 
+@pytest.mark.parametrize("command", ["extract-flow", "loso"])
+def test_odd_flow_side_is_rejected_before_any_frame_is_read(dataset, tmp_path,
+                                                              monkeypatch, capsys,
+                                                              command):
+    # the composite tiles four landmark crops 2x2, so its side must be even
+    def unread(path):
+        raise AssertionError(f"read {path}")
+
+    monkeypatch.setattr(ahmsa.cli, "read_pgm", unread)
+    cfg = write_config(tmp_path, {"model.h_flow": 7, "model.w_flow": 7,
+                                  "model.patch_size": 7, "model.n_layers": 1,
+                                  "model.blocks_per_layer": [1]})
+    extra = ["--extract"] if command == "loso" else []
+    assert run_cli(command, "--manifest", str(dataset / "manifest.csv"), "--out-dir",
+                   str(tmp_path / "out"), "--config", str(cfg), *extra) == 2
+    err = capsys.readouterr().err
+    assert "model.h_flow must be even" in err and "got 7" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_build_run_config_reports_every_section_at_once():
     with pytest.raises(ConfigError) as err:
         build_run_config(None, {"tvl1.theta": -1, "train.epochs": 0, "model.heads": 0,
@@ -923,8 +947,9 @@ def test_build_run_config_reports_every_section_at_once():
         "tvl1.theta must be positive, got -1; flow.region_px must be positive, got 0")
 
 
-# Smallest valid model: every integer at its least allowed value.
-_LEAST_MODEL = {"model.h_flow": 1, "model.w_flow": 1, "model.patch_size": 1,
+# Smallest valid model: every integer at its least allowed value (an even
+# h_flow, for the 2x2 region composite, and so one 2 px patch).
+_LEAST_MODEL = {"model.h_flow": 2, "model.w_flow": 2, "model.patch_size": 2,
                 "model.embed_channels": 1, "model.heads": 1, "model.n_layers": 1,
                 "model.downsample_factor": 1, "model.blocks_per_layer": [1],
                 "model.n_classes": 2, "model.channel_reduction": 1,
@@ -932,7 +957,7 @@ _LEAST_MODEL = {"model.h_flow": 1, "model.w_flow": 1, "model.patch_size": 1,
 _TINY = 5e-324  # the least positive float
 # (key, a value just past its rule, the first value within it)
 _BOUNDARIES = [
-    *((key, 0, 1) for key in _LEAST_MODEL if key not in (
+    *((key, 0, _LEAST_MODEL[key]) for key in _LEAST_MODEL if key not in (
         "model.blocks_per_layer", "model.n_classes")),
     ("model.blocks_per_layer", [0], [1]),
     ("model.n_classes", 1, 2),

@@ -24,9 +24,11 @@ from ahmsa.model import (
 )
 from ahmsa.tensor import (
     Tensor,
+    adam_step,
     adaptive_pool,
     conv2d,
     cross_entropy,
+    init_adam,
     layer_norm,
     linear,
     matmul,
@@ -460,6 +462,26 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     rng = np.random.default_rng(19)
     batch = rand_maps(rng, 2, cfg)
     assert forward(batch, params).data.tobytes() == forward(batch, loaded).data.tobytes()
+
+
+def test_loaded_checkpoint_holds_no_gradients_and_trains_like_the_saved_one(tmp_path):
+    # gradient buffers are made lazily, by the first backward pass that needs one
+    cfg = small_config()
+    saved = init_model(cfg, seed=23)
+    save_checkpoint(tmp_path / "m.ckpt", saved)
+    loaded = load_checkpoint(tmp_path / "m.ckpt")
+    assert all(t._grad is None for t in loaded.named_parameters().values())
+    rng = np.random.default_rng(23)
+    batch, labels = rand_maps(rng, 4, cfg), np.array([0, 1, 2, 1])
+    for params in (saved, loaded):
+        named = params.named_parameters()
+        state = init_adam(named, lr=1e-3)
+        cross_entropy(forward(batch, params), labels).backward()
+        adam_step(named, state)
+    for name, t in saved.named_parameters().items():
+        other = loaded.named_parameters()[name]
+        assert t.grad.tobytes() == other.grad.tobytes(), name
+        assert t.data.tobytes() == other.data.tobytes(), name
 
 
 def test_checkpoint_header(tmp_path):

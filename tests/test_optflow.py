@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from scipy import ndimage
 
 from ahmsa import optflow
+from ahmsa.data import gen_synthetic
 from ahmsa.errors import AhmsaError, ValidationError
 from ahmsa.optflow import (
     FlowField,
@@ -224,13 +225,17 @@ def test_pyramid_stops_where_a_level_would_not_shrink(scale, sides):
 
 
 def _reference_tvl1_level(i0, i1, u, v, params):
-    """Per-field TV-L1 level: separate u/v updates, four duals, nested where."""
+    """Per-field TV-L1 level: separate u/v updates, four duals, nested where,
+    computed in the dtype of ``u`` and ``v`` with a float64 warp."""
     h, w = i0.shape
     yy, xx = np.meshgrid(np.arange(h, dtype=np.float64),
                          np.arange(w, dtype=np.float64), indexing="ij")
+    dtype = u.dtype
+    i0 = i0.astype(dtype)
 
     def warp(img):
-        return ndimage.map_coordinates(img, [yy + v, xx + u], order=1, mode="nearest")
+        return ndimage.map_coordinates(img, [yy + v, xx + u], order=1,
+                                       mode="nearest").astype(dtype)
 
     def forward_gradient(a):
         gx = np.zeros_like(a)
@@ -248,7 +253,7 @@ def _reference_tvl1_level(i0, i1, u, v, params):
         return div
 
     i1y, i1x = np.gradient(i1)
-    p11, p12, p21, p22 = (np.zeros_like(i0) for _ in range(4))
+    p11, p12, p21, p22 = (np.zeros_like(u) for _ in range(4))
     l_t = params.lambda_weight * params.theta
     taut = params.tau / params.theta
     for _ in range(params.n_warps):
@@ -260,11 +265,11 @@ def _reference_tvl1_level(i0, i1, u, v, params):
             d1 = np.where(
                 rho < -l_t * grad_sq, l_t * i1wx,
                 np.where(rho > l_t * grad_sq, -l_t * i1wx,
-                         -rho * i1wx / np.maximum(grad_sq, 1e-12)))
+                         -rho * i1wx / np.maximum(grad_sq, dtype.type(1e-12))))
             d2 = np.where(
                 rho < -l_t * grad_sq, l_t * i1wy,
                 np.where(rho > l_t * grad_sq, -l_t * i1wy,
-                         -rho * i1wy / np.maximum(grad_sq, 1e-12)))
+                         -rho * i1wy / np.maximum(grad_sq, dtype.type(1e-12))))
             u = u + d1 + params.theta * divergence(p11, p12)
             v = v + d2 + params.theta * divergence(p21, p22)
             ux, uy = forward_gradient(u)
@@ -278,18 +283,19 @@ def _reference_tvl1_level(i0, i1, u, v, params):
     return u, v
 
 
-def _reference_tvl1_flow(onset, apex, params):
+def _reference_tvl1_flow(onset, apex, params, dtype):
+    """Coarse to fine with every level solved in ``dtype``, as a float64 flow."""
     pyr0 = optflow._pyramid(onset * 255.0, params.pyramid_scale, params.pyramid_levels)
     pyr1 = optflow._pyramid(apex * 255.0, params.pyramid_scale, params.pyramid_levels)
-    u = np.zeros_like(pyr0[-1])
-    v = np.zeros_like(pyr0[-1])
+    u = np.zeros(pyr0[-1].shape, dtype)
+    v = np.zeros(pyr0[-1].shape, dtype)
     for i0, i1 in zip(reversed(pyr0), reversed(pyr1)):
         if u.shape != i0.shape:
             (h_new, w_new), (h_old, w_old) = i0.shape, u.shape
-            u = optflow._resize_bilinear(u, h_new, w_new) * (w_new / w_old)
-            v = optflow._resize_bilinear(v, h_new, w_new) * (h_new / h_old)
+            u = (optflow._resize_bilinear(u, h_new, w_new) * (w_new / w_old)).astype(dtype)
+            v = (optflow._resize_bilinear(v, h_new, w_new) * (h_new / h_old)).astype(dtype)
         u, v = _reference_tvl1_level(i0, i1, u, v, params)
-    return u, v
+    return u.astype(np.float64), v.astype(np.float64)
 
 
 def _same_bits(got, want):
@@ -304,32 +310,41 @@ def _textured_pair(h, w, dy, dx):
     return tex, apex
 
 
+# each per-field pin runs at both element types: float64, and float32, the
+# solver's; the level computes in the dtype of its u and v
+LEVEL_DTYPES = (np.float64, np.float32)
+
+
 @pytest.mark.parametrize("dims,shift", [((64, 64), (1.5, -2.0)),
                                         ((40, 24), (-0.7, 1.2))])
 def test_tvl1_level_matches_per_field_reference(dims, shift):
     onset, apex = _textured_pair(*dims, *shift)
     params = TVL1Params()
     i0, i1 = onset * 255.0, apex * 255.0
-    zero = np.zeros(dims)
-    want_u, want_v = _reference_tvl1_level(i0, i1, zero, zero, params)
-    got_u, got_v = optflow._tvl1_level(i0, i1, zero, zero, params)
-    assert _same_bits((got_u, got_v), (want_u, want_v))
+    for dtype in LEVEL_DTYPES:
+        zero = np.zeros(dims, dtype)
+        want_u, want_v = _reference_tvl1_level(i0, i1, zero, zero, params)
+        got_u, got_v = optflow._tvl1_level(i0, i1, zero, zero, params)
+        assert got_u.dtype == dtype
+        assert _same_bits((got_u, got_v), (want_u, want_v))
 
 
-def test_tvl1_level_matches_reference_from_nonzero_start():
+def test_tvl1_level_matches_reference_from_nonzero_start(monkeypatch):
     onset, apex = _textured_pair(32, 48, 0.8, -1.1)
     params = TVL1Params(pyramid_levels=1, n_warps=2)
     rng = np.random.default_rng(17)
-    u0 = rng.uniform(-1.0, 1.0, (32, 48))
-    v0 = rng.uniform(-1.0, 1.0, (32, 48))
+    start = rng.uniform(-1.0, 1.0, (2, 32, 48))
     i0, i1 = onset * 255.0, apex * 255.0
-    want_u, want_v = _reference_tvl1_level(i0, i1, u0, v0, params)
-    got_u, got_v = optflow._tvl1_level(i0, i1, u0, v0, params)
-    assert _same_bits((got_u, got_v), (want_u, want_v))
-    flow = tvl1_flow(onset, apex, params)
-    zero = np.zeros((32, 48))
-    want_u, want_v = _reference_tvl1_level(i0, i1, zero, zero, params)
-    assert _same_bits((flow.u, flow.v), (want_u, want_v))
+    for dtype in LEVEL_DTYPES:
+        u0, v0 = start.astype(dtype)
+        want_u, want_v = _reference_tvl1_level(i0, i1, u0, v0, params)
+        got_u, got_v = optflow._tvl1_level(i0, i1, u0, v0, params)
+        assert _same_bits((got_u, got_v), (want_u, want_v))
+        monkeypatch.setattr(optflow, "SOLVER_DTYPE", dtype)
+        flow = tvl1_flow(onset, apex, params)
+        zero = np.zeros((32, 48), dtype)
+        want = _reference_tvl1_level(i0, i1, zero, zero, params)
+        assert _same_bits((flow.u, flow.v), [w.astype(np.float64) for w in want])
 
 
 @pytest.mark.parametrize("apex_level", [100.0, 103.0])
@@ -339,10 +354,11 @@ def test_tvl1_level_matches_reference_on_flat_image(apex_level):
     i0 = np.full((20, 20), 100.0)
     i1 = np.full((20, 20), apex_level)
     params = TVL1Params(n_warps=2, n_inner_iters=5)
-    zero = np.zeros((20, 20))
-    want_u, want_v = _reference_tvl1_level(i0, i1, zero, zero, params)
-    got_u, got_v = optflow._tvl1_level(i0, i1, zero, zero, params)
-    assert _same_bits((got_u, got_v), (want_u, want_v))
+    for dtype in LEVEL_DTYPES:
+        zero = np.zeros((20, 20), dtype)
+        want_u, want_v = _reference_tvl1_level(i0, i1, zero, zero, params)
+        got_u, got_v = optflow._tvl1_level(i0, i1, zero, zero, params)
+        assert _same_bits((got_u, got_v), (want_u, want_v))
 
 
 # 2..20 px grids include 2-wide and 2-tall ones, where the zeroed last
@@ -355,10 +371,12 @@ def test_tvl1_level_matches_reference_on_random_cases(h, w, seed, n_warps,
     rng = np.random.default_rng(seed)
     i0, i1 = rng.uniform(0.0, 255.0, (2, h, w))
     magnitude = rng.uniform(0.01, 2.0, (2, h, w))
-    u0, v0 = np.where(rng.random((2, h, w)) < 0.5, -magnitude, magnitude)
+    start = np.where(rng.random((2, h, w)) < 0.5, -magnitude, magnitude)
     params = TVL1Params(n_warps=n_warps, n_inner_iters=n_inner_iters)
-    got = optflow._tvl1_level(i0, i1, u0, v0, params)
-    assert _same_bits(got, _reference_tvl1_level(i0, i1, u0, v0, params))
+    for dtype in LEVEL_DTYPES:
+        u0, v0 = start.astype(dtype)
+        got = optflow._tvl1_level(i0, i1, u0, v0, params)
+        assert _same_bits(got, _reference_tvl1_level(i0, i1, u0, v0, params))
 
 
 # every level of the 128x128 and the 96x64 pyramids
@@ -378,27 +396,100 @@ def test_tvl1_level_arena_is_aligned_disjoint_and_staggered(monkeypatch, dims):
     arena = optflow._arena
     monkeypatch.setattr(optflow, "_arena", recorded)
     i0, i1 = np.random.default_rng(1).uniform(0.0, 255.0, (2, *dims))
-    optflow._tvl1_level(i0, i1, np.zeros(dims), np.zeros(dims),
-                        TVL1Params(n_warps=1, n_inner_iters=1))
-    [arrays] = arenas
-    assert len(arrays) >= 8
-    spans = sorted((a.ctypes.data, a.ctypes.data + a.nbytes) for a in arrays)
-    assert all(start % 64 == 0 for start, _ in spans)
-    assert all(stop <= start for (_, stop), (start, _) in zip(spans, spans[1:]))
-    assert len({start % 4096 for start, _ in spans}) == len(spans)
+    for dtype in LEVEL_DTYPES:
+        optflow._tvl1_level(i0, i1, np.zeros(dims, dtype), np.zeros(dims, dtype),
+                            TVL1Params(n_warps=1, n_inner_iters=1))
+    assert [{a.dtype for a in arrays} for arrays in arenas] == [
+        {np.dtype(dtype), np.dtype(np.bool_)} for dtype in LEVEL_DTYPES]
+    for arrays in arenas:
+        assert len(arrays) >= 8
+        spans = sorted((a.ctypes.data, a.ctypes.data + a.nbytes) for a in arrays)
+        assert all(start % 64 == 0 for start, _ in spans)
+        assert all(stop <= start for (_, stop), (start, _) in zip(spans, spans[1:]))
+        assert len({start % 4096 for start, _ in spans}) == len(spans)
 
 
 @pytest.mark.parametrize("dims", [(64, 64), (128, 128), (96, 64)],
                          ids=lambda dims: f"{dims[0]}x{dims[1]}")
-def test_tvl1_flow_file_bytes_match_reference(tmp_path, dims):
+def test_tvl1_flow_file_bytes_match_reference(tmp_path, monkeypatch, dims):
     onset, apex = _textured_pair(*dims, -1.0, 0.5)
     params = TVL1Params()
-    flow = tvl1_flow(onset, apex, params)
-    ref = FlowField(*_reference_tvl1_flow(onset, apex, params))
-    for name, fl in (("got", flow), ("want", ref)):
-        stacked = np.stack([fl.u, fl.v, optical_strain(fl)], axis=2)
-        write_flow_map(tmp_path / f"{name}.flow", stacked)
-    assert (tmp_path / "got.flow").read_bytes() == (tmp_path / "want.flow").read_bytes()
+    for dtype in LEVEL_DTYPES:
+        monkeypatch.setattr(optflow, "SOLVER_DTYPE", dtype)
+        flow = tvl1_flow(onset, apex, params)
+        ref = FlowField(*_reference_tvl1_flow(onset, apex, params, dtype))
+        for name, fl in (("got", flow), ("want", ref)):
+            stacked = np.stack([fl.u, fl.v, optical_strain(fl)], axis=2)
+            write_flow_map(tmp_path / f"{name}.flow", stacked)
+        assert (tmp_path / "got.flow").read_bytes() == (tmp_path / "want.flow").read_bytes()
+
+
+# -- float32 solver against the float64 one --------------------------------------
+# The solver computes in optflow.SOLVER_DTYPE (float32); these bounds pin how
+# far that may move the flow and the network's input from a float64 solve.
+
+FLOAT32_EPE_MEDIAN_PX = 5e-7
+FLOAT32_EPE_MAX_PX = 7.5e-4
+FLOAT32_COMPOSITE_MAX = 2.5e-2
+
+
+def float_tolerance_report(work_dir) -> dict[str, float]:
+    """Solve a fixed set as the program does and with ``SOLVER_DTYPE``
+    float64, and compare the two.
+
+    The set is the acceptance flow oracle's identity and shift cases on a
+    64 px texture, and the samples of two small ``gen_synthetic`` sets at
+    64 px and 128 px, rendered under ``work_dir``.  Returns the median and
+    max end-point error between the two solves over every pixel, each
+    solve's worst median EPE against the known shifts (central 75%), and the
+    max absolute difference of the standardised 28x28x3 composites of the
+    synthetic samples.
+    """
+    tex = smooth_texture(42)
+    shifts = [(0.0, 0.0), (2.0, 0.0), (0.0, -1.0), (1.5, -2.5), (0.3, 0.7),
+              (-3.0, 1.0), (0.5, 0.5)]
+    frames = [(tex, fourier_shift(tex, dy, dx), None) for dx, dy in shifts]
+    for size in (64, 128):
+        manifest, _ = gen_synthetic(work_dir / f"{size}px", seed=8, n_subjects=2,
+                                    samples_per_subject=3, image_size=size)
+        frames += [(read_pgm(s.onset_path), read_pgm(s.apex_path), s.landmarks)
+                   for s in manifest.samples]
+
+    def solve():
+        return [tvl1_flow(onset, apex) for onset, apex, _ in frames]
+
+    def composite(flow, landmarks):
+        full = np.stack([flow.u, flow.v, optical_strain(flow)], axis=2)
+        return standardize_channels(compose_regions(full, landmarks))
+
+    def shift_epe(flows):
+        return max(float(np.median(np.hypot(f.u[CENTRAL, CENTRAL] - dx,
+                                            f.v[CENTRAL, CENTRAL] - dy)))
+                   for f, (dx, dy) in zip(flows, shifts))
+
+    narrow = solve()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(optflow, "SOLVER_DTYPE", np.float64)
+        wide = solve()
+    epe = np.concatenate([np.hypot(a.u - b.u, a.v - b.v).ravel()
+                          for a, b in zip(wide, narrow)])
+    composite_diff = max(float(np.abs(composite(a, lm) - composite(b, lm)).max())
+                         for a, b, (_, _, lm) in zip(wide, narrow, frames) if lm)
+    return {"epe_median": float(np.median(epe)), "epe_max": float(epe.max()),
+            "shift_epe_float64": shift_epe(wide), "shift_epe": shift_epe(narrow),
+            "composite_max": composite_diff}
+
+
+def test_float32_solver_stays_within_its_pinned_tolerance(tmp_path):
+    report = float_tolerance_report(tmp_path)
+    assert report["epe_median"] <= FLOAT32_EPE_MEDIAN_PX, report
+    assert report["epe_max"] <= FLOAT32_EPE_MAX_PX, report
+    assert report["composite_max"] <= FLOAT32_COMPOSITE_MAX, report
+    # both solves pass the acceptance flow oracle's bound on their own
+    assert report["shift_epe_float64"] < 0.3 and report["shift_epe"] < 0.3, report
+    # else the program solves in float64, and the gate compares a solve
+    # with itself
+    assert report["epe_max"] > 0.0, report
 
 
 def test_tvl1_param_validation():
@@ -639,6 +730,37 @@ def test_flow_map_header_layout(tmp_path):
     assert int.from_bytes(raw[8:12], "little") == 5
     assert int.from_bytes(raw[12:16], "little") == 7
     assert len(raw) == 16 + 5 * 7 * 3 * 4
+
+
+class _FullDisk:
+    """A binary file that takes the 16-byte header and then half of the
+    payload before its write fails."""
+
+    def __init__(self, path, mode):
+        self.file = open(path, mode)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.file.close()
+
+    def write(self, data):
+        if len(data) <= 8:
+            return self.file.write(data)
+        self.file.write(data[:len(data) // 2])
+        raise OSError(28, "No space left on device")
+
+
+def test_failed_flow_write_keeps_the_previous_file(tmp_path, monkeypatch):
+    path = tmp_path / "a.flow"
+    write_flow_map(path, np.ones((4, 4, 3), dtype=np.float32))
+    before = path.read_bytes()
+    monkeypatch.setattr(optflow, "open", _FullDisk, raising=False)
+    with pytest.raises(OSError, match="No space left"):
+        write_flow_map(path, np.zeros((4, 4, 3), dtype=np.float32))
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["a.flow"]
 
 
 def test_flow_map_rejects_corrupt(tmp_path):
