@@ -28,6 +28,7 @@ import signal
 import sys
 import threading
 from collections.abc import Iterator
+from contextlib import ExitStack
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -36,6 +37,7 @@ import numpy as np
 from . import __version__
 from .data import CLASS_NAMES, DatasetManifest, Sample, gen_synthetic, load_manifest
 from .errors import AhmsaError, ConfigError, ValidationError, is_finite_real, is_int
+from .files import replacing
 from .model import ModelConfig, save_checkpoint
 from .optflow import (
     FlowOptions,
@@ -189,7 +191,7 @@ def _extracted(manifest: DatasetManifest, run: RunConfig,
     yield from ((j, unread.pop(j)) for j in range(position, len(manifest)))
 
 
-def load_feature_maps(manifest: DatasetManifest, flow_dir: Path | None,
+def load_feature_maps(manifest: DatasetManifest, flow_dir: str | Path | None,
                       extract: bool, run: RunConfig, workers: int = 1) -> np.ndarray:
     """Feature maps aligned with manifest order, from files or computed inline
     by ``workers`` processes; the first sample that fails raises."""
@@ -199,13 +201,13 @@ def load_feature_maps(manifest: DatasetManifest, flow_dir: Path | None,
             if isinstance(fmap, Exception):
                 raise fmap
             maps.append(fmap)
-    elif flow_dir is None:
+    elif not flow_dir:
         raise ValidationError(
             "either --flow-dir or --extract is required to obtain feature maps"
         )
     else:
         for sample, name in zip(manifest.samples, flow_file_names(manifest)):
-            path = flow_dir / name
+            path = Path(flow_dir) / name
             if not path.is_file():
                 raise ValidationError(
                     f"flow file missing for sample {sample.sample_id!r}: {path} "
@@ -304,23 +306,32 @@ def _check_report(payload, source) -> None:
         fail(f"pooled.confusion must be a {n}x{n} matrix of non-negative integers")
 
 
-def _write_figures(out_dir: Path, payload: dict, source) -> None:
-    """The pooled confusion matrix as CSV and SVG, after checking the report."""
+def _figures(payload: dict, source) -> dict[str, str]:
+    """The pooled confusion matrix as CSV and SVG, by file name, after
+    checking the report."""
     _check_report(payload, source)
     counts = payload["pooled"]["confusion"]
+    return {"confusion_pooled.csv": confusion_to_csv(counts),
+            "confusion_pooled.svg": confusion_to_svg(counts)}
+
+
+def _write_all(out_dir: Path, texts: dict[str, str]) -> None:
+    """Each ``name: text`` as ``out_dir/name``.  Every file is written under
+    a temporary name before any is renamed, so a failed write leaves none of
+    them; the renames run in reverse order, so the first name appears last."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "confusion_pooled.csv").write_text(confusion_to_csv(counts),
-                                                  encoding="utf-8")
-    (out_dir / "confusion_pooled.svg").write_text(confusion_to_svg(counts),
-                                                  encoding="utf-8")
+    with ExitStack() as stack:
+        partials = [stack.enter_context(replacing(out_dir / name)) for name in texts]
+        for partial, text in zip(partials, texts.values()):
+            partial.write_text(text, encoding="utf-8")
 
 
 def _write_report_files(out_dir: Path, payload: dict) -> None:
+    """metrics.json and the figures, all or none; metrics.json appears last,
+    as it means the run finished."""
     metrics_path = out_dir / "metrics.json"
-    _write_figures(out_dir, payload, metrics_path)
-    metrics_path.write_text(
-        json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    _write_all(out_dir, {"metrics.json": json.dumps(payload, sort_keys=True, indent=2) + "\n",
+                         **_figures(payload, metrics_path)})
     print(f"wrote {metrics_path}")
 
 
@@ -366,12 +377,17 @@ def cmd_extract_flow(args) -> int:
     return 0
 
 
-def cmd_loso(args) -> int:
+def _training_inputs(args) -> tuple[RunConfig, int, DatasetManifest, np.ndarray]:
+    """The run config, worker count, manifest and feature maps of loso and train."""
     run = build_run_config(args.config, _collect_overrides(args))
     workers = worker_count()
     manifest = load_manifest(args.manifest)
-    flow_dir = Path(args.flow_dir) if args.flow_dir else None
-    maps = load_feature_maps(manifest, flow_dir, args.extract, run, workers)
+    maps = load_feature_maps(manifest, args.flow_dir, args.extract, run, workers)
+    return run, workers, manifest, maps
+
+
+def cmd_loso(args) -> int:
+    run, workers, manifest, maps = _training_inputs(args)
     report = run_loso(manifest, maps, run.model, run.train, parallel_folds=workers)
     payload = report.to_json_dict()
     payload["config"] = run.flat_dict()
@@ -382,11 +398,7 @@ def cmd_loso(args) -> int:
 
 
 def cmd_train(args) -> int:
-    run = build_run_config(args.config, _collect_overrides(args))
-    workers = worker_count()
-    manifest = load_manifest(args.manifest)
-    flow_dir = Path(args.flow_dir) if args.flow_dir else None
-    maps = load_feature_maps(manifest, flow_dir, args.extract, run, workers)
+    run, _, manifest, maps = _training_inputs(args)
     params, history = train_fold(maps, manifest.labels(), run.model, run.train)
     out_path = Path(args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
@@ -410,7 +422,7 @@ def cmd_report(args) -> int:
     for db, block in sorted(payload.get("per_database", {}).items()):
         print(f"{db}: UF1 {block['uf1']:.4f}  UAR {block['uar']:.4f}")
     if args.out_dir:
-        _write_figures(Path(args.out_dir), payload, path)
+        _write_all(Path(args.out_dir), _figures(payload, path))
         print(f"wrote figures to {args.out_dir}")
     return 0
 

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .errors import ConfigError, ValidationError, check_fields
+from .files import replacing
 from .tensor import (
     LayerNormParams,
     Tensor,
@@ -486,9 +487,10 @@ def _config_to_json(config: ModelConfig) -> bytes:
 
 
 def save_checkpoint(path, params: ModelParams) -> None:
-    """Magic + version + length-prefixed config JSON + f32 LE tensors in order."""
+    """Magic + version + length-prefixed config JSON + f32 LE tensors in order,
+    through ``files.replacing``: ``path`` never holds a partial file."""
     cfg_json = _config_to_json(params.config)
-    with open(path, "wb") as f:
+    with replacing(path) as partial, open(partial, "wb") as f:
         f.write(CHECKPOINT_MAGIC)
         f.write(struct.pack("<B", CHECKPOINT_VERSION))
         f.write(struct.pack("<I", len(cfg_json)))

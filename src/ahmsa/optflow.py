@@ -14,7 +14,6 @@ pixels, pointing from the onset frame to the apex frame.
 from __future__ import annotations
 
 import math
-import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -22,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DimensionError, ValidationError, check_fields
+from .files import replacing
 
 FLOW_MAGIC = b"AHMS"
 FLOW_FORMAT_VERSION = 1
@@ -270,9 +270,10 @@ def _tvl1_level(i0: np.ndarray, i1: np.ndarray, u: np.ndarray, v: np.ndarray,
     which never leaves +0.0, and before the first row of y-duals sit W
     leading zeros; ``a - 0.0`` is ``a``, bits included.
 
-    The inner loop writes only into one ``_arena`` per level, through
-    positional ``out`` arguments, and ``uv + d`` into the other of two primal
-    buffers, so the shifted views of both are built once per level.
+    The inner loop writes only into one ``_arena`` per level, through ``out``
+    arguments (by keyword for maximum and minimum, which deprecate a
+    positional one), and ``uv + d`` into the other of two primal buffers, so
+    the shifted views of both are built once per level.
 
     The level computes in the dtype of ``u`` and ``v``: ``i0`` is cast to it
     once, and the warped image and gradients once per warp.  The warp itself,
@@ -282,12 +283,14 @@ def _tvl1_level(i0: np.ndarray, i1: np.ndarray, u: np.ndarray, v: np.ndarray,
     n = h * w
     dtype = u.dtype
     field, plane = ((2, n), dtype), ((n,), dtype)
-    uv_a, uv_b, d, rho, clamp, norm, buf, g = _arena(
-        field, field, field, plane, ((n,), np.bool_), field,
-        ((2, 2, w + n), dtype), ((2, 2, n), dtype))
+    uv_a, uv_b, d, rho, norm, buf, g = _arena(
+        field, field, field, plane, field, ((2, 2, w + n), dtype), ((2, 2, n), dtype))
     uv_a.reshape(2, h, w)[:] = u, v
     i0 = i0.reshape(n).astype(dtype)
-    floor = dtype.type(1e-12)
+    # 0-d operands of the level dtype, so no call converts a Python float
+    floor, lt, neg_lt, theta, taut, one = (np.array(x, dtype) for x in (
+        1e-12, params.lambda_weight * params.theta, -params.lambda_weight * params.theta,
+        params.theta, params.tau / params.theta, 1.0))
     # each primal buffer with its x and y shifts: (uv, uv[1:], uv[:-1],
     # uv[w:], uv[:-w]) along the flat axis
     cur, nxt = ((uv, uv[:, 1:], uv[:, :-1], uv[:, w:], uv[:, :-w])
@@ -304,8 +307,6 @@ def _tvl1_level(i0: np.ndarray, i1: np.ndarray, u: np.ndarray, v: np.ndarray,
     i1y, i1x = np.gradient(i1)
     images = np.stack([i1, i1x, i1y])
     del i1x, i1y
-    l_t = params.lambda_weight * params.theta
-    taut = params.tau / params.theta
     add, sub, mul = np.add, np.subtract, np.multiply
 
     for _ in range(params.n_warps):
@@ -314,12 +315,7 @@ def _tvl1_level(i0: np.ndarray, i1: np.ndarray, u: np.ndarray, v: np.ndarray,
         warped = warped.astype(dtype, copy=False)
         rho_c, grad = warped[0], warped[1:]
         del warped  # the views keep it alive until the del at the end of the warp
-        ngrad = -grad
-        grad_sq = grad[0] ** 2 + grad[1] ** 2
-        lo = -l_t * grad_sq
-        hi = l_t * grad_sq
-        denom = np.maximum(grad_sq, floor)
-        del grad_sq
+        neg_denom = -np.maximum(grad[0] ** 2 + grad[1] ** 2, floor)
         # residual linearized at the warp point
         rho_c -= grad[0] * uv[0]
         rho_c -= grad[1] * uv[1]
@@ -330,20 +326,18 @@ def _tvl1_level(i0: np.ndarray, i1: np.ndarray, u: np.ndarray, v: np.ndarray,
             mul(grad, uv, d)
             add(d_u, rho_c, rho)
             add(rho, d_v, rho)
-            # pointwise data-term proximal step; lo <= hi, so the two clamps
-            # never overlap
-            mul(rho, ngrad, d)
-            np.divide(d, denom, d)
-            np.less(rho, lo, clamp)
-            mul(grad, l_t, d, where=clamp)
-            np.greater(rho, hi, clamp)
-            mul(grad, -l_t, d, where=clamp)
+            # pointwise data-term proximal step, d = grad * clip(rho /
+            # -max(|grad|^2, floor), -l_t, l_t); rho holds the coefficient
+            np.divide(rho, neg_denom, rho)
+            np.maximum(rho, neg_lt, out=rho)
+            np.minimum(rho, lt, out=rho)
+            mul(grad, rho, d)
             # TV proximal via the dual variables
             add(uv, d, new)
             sub(px, px_left, d)  # d and norm are free here: div and a temporary
             sub(py, py_up, norm)
             add(d, norm, d)
-            mul(d, params.theta, d)
+            mul(d, theta, d)
             add(new, d, new)
             sub(right, left, gx_head)
             gx_last.fill(0.0)
@@ -353,13 +347,13 @@ def _tvl1_level(i0: np.ndarray, i1: np.ndarray, u: np.ndarray, v: np.ndarray,
             add(norm, d, norm)
             np.sqrt(norm, norm)
             mul(norm, taut, norm)
-            add(norm, 1.0, norm)
+            add(norm, one, norm)
             mul(g, taut, g)  # the zero column and row stay +0.0
             add(p, g, p)
             np.divide(p, norm_xy, p)
             cur, nxt = nxt, cur
         # free this warp's linearization before the next one is built
-        del grad, ngrad, lo, hi, denom, rho_c
+        del grad, neg_denom, rho_c
 
     return tuple(cur[0].reshape(2, h, w).copy())
 
@@ -568,29 +562,18 @@ def write_pgm(path, img: np.ndarray) -> None:
 
 
 def write_flow_map(path, feature_map: np.ndarray) -> None:
-    """Serialize an H x W x 3 feature map (16-byte header + f32 LE payload).
-
-    The file is written under a temporary name in the same directory and then
-    renamed to ``path``, so ``path`` never holds a partial file; a write that
-    fails removes the temporary file and leaves ``path`` as it was.
-    """
+    """Serialize an H x W x 3 feature map (16-byte header + f32 LE payload),
+    through ``files.replacing``: ``path`` never holds a partial file."""
     if feature_map.ndim != 3 or feature_map.shape[2] != 3:
         raise DimensionError(f"feature map must be H x W x 3, got {feature_map.shape}")
     h, w = feature_map.shape[:2]
     if h < 1 or w < 1:
         raise DimensionError(f"feature map dims must be positive, got {h}x{w}")
-    path = Path(path)
-    partial = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(partial, "wb") as f:
-            f.write(FLOW_MAGIC)
-            f.write(struct.pack("<B3x", FLOW_FORMAT_VERSION))
-            f.write(struct.pack("<II", h, w))
-            f.write(np.ascontiguousarray(feature_map, dtype="<f4").tobytes())
-        os.replace(partial, path)
-    except BaseException:  # an interrupt too
-        partial.unlink(missing_ok=True)
-        raise
+    with replacing(path) as partial, open(partial, "wb") as f:
+        f.write(FLOW_MAGIC)
+        f.write(struct.pack("<B3x", FLOW_FORMAT_VERSION))
+        f.write(struct.pack("<II", h, w))
+        f.write(np.ascontiguousarray(feature_map, dtype="<f4").tobytes())
 
 
 def read_flow_map(path) -> np.ndarray:

@@ -17,7 +17,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
+import ahmsa.cli
 import ahmsa.data
+import ahmsa.files
 import ahmsa.optflow
 import ahmsa.train
 import ahmsa.workers
@@ -509,6 +511,20 @@ def test_loso_determinism_byte_identical(dataset, tmp_path, capsys):
     assert outs[0] == outs[1]
 
 
+def test_loso_writes_no_report_file_when_one_cannot_be_written(dataset, tmp_path,
+                                                              capsys):
+    out_dir = tmp_path / "out"
+    (out_dir / "metrics.json").mkdir(parents=True)
+    cfg = write_config(tmp_path, {"train.epochs": 1, "train.batch_size": 4})
+    code = run_cli("loso", "--manifest", str(dataset / "manifest.csv"), "--extract",
+                   "--out-dir", str(out_dir), "--config", str(cfg))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "Is a directory" in err and "metrics.json" in err
+    assert [p.name for p in out_dir.iterdir()] == ["metrics.json"]
+    assert not any((out_dir / "metrics.json").iterdir())
+
+
 def test_loso_parallel_folds_match_sequential(dataset, tmp_path, capsys, monkeypatch):
     """Sequential folds, two forked workers, and the default (the usable CPUs,
     forked when there are two or more) write the same bytes."""
@@ -758,6 +774,50 @@ def test_report_rejects_garbage(tmp_path, capsys):
 
 
 GOOD_POOLED = {"uf1": 0.5, "uar": 0.5, "confusion": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}
+
+
+def test_report_files_appear_after_all_are_written_metrics_last(tmp_path, monkeypatch,
+                                                                capsys):
+    renames = []
+
+    def replace(src, dst):
+        renames.append((Path(dst).name, sorted(p.name for p in tmp_path.iterdir())))
+        os.rename(src, dst)
+
+    monkeypatch.setattr(ahmsa.files.os, "replace", replace)
+    payload = {"pooled": GOOD_POOLED}
+    ahmsa.cli._write_report_files(tmp_path, payload)
+    capsys.readouterr()
+    pid = os.getpid()
+    assert renames[0][1] == sorted(f".{name}.{pid}.tmp" for name in (
+        "metrics.json", "confusion_pooled.csv", "confusion_pooled.svg"))
+    assert [name for name, _ in renames] == [
+        "confusion_pooled.svg", "confusion_pooled.csv", "metrics.json"]
+    assert json.loads((tmp_path / "metrics.json").read_text()) == payload
+
+
+def test_failed_figure_write_keeps_the_previous_figures(tmp_path, monkeypatch, capsys):
+    metrics = tmp_path / "metrics.json"
+    metrics.write_text(json.dumps({"pooled": GOOD_POOLED}))
+    figures = tmp_path / "figs"
+    assert run_cli("report", "--metrics", str(metrics), "--out-dir", str(figures)) == 0
+    before = _tree_hash(figures)
+    write_text = Path.write_text
+
+    def full_disk(path, text, **kwargs):
+        if ".svg." in path.name:
+            write_text(path, text[:10], **kwargs)
+            raise OSError(28, "No space left on device")
+        return write_text(path, text, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", full_disk)
+    confusion = [[2, 0, 0], [0, 1, 0], [0, 0, 1]]
+    metrics.write_text(json.dumps({"pooled": {**GOOD_POOLED, "confusion": confusion}}))
+    assert run_cli("report", "--metrics", str(metrics), "--out-dir", str(figures)) == 1
+    assert "No space left" in capsys.readouterr().err
+    assert _tree_hash(figures) == before
+    assert sorted(p.name for p in figures.iterdir()) == ["confusion_pooled.csv",
+                                                         "confusion_pooled.svg"]
 
 
 @pytest.mark.parametrize("pooled,problem", [

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import ahmsa.model
 from ahmsa.errors import AhmsaError, ConfigError, ValidationError
 from ahmsa.model import (
     ModelConfig,
@@ -482,6 +483,39 @@ def test_loaded_checkpoint_holds_no_gradients_and_trains_like_the_saved_one(tmp_
         other = loaded.named_parameters()[name]
         assert t.grad.tobytes() == other.grad.tobytes(), name
         assert t.data.tobytes() == other.data.tobytes(), name
+
+
+class _FillingDisk:
+    """A binary file that takes ``room`` bytes, then fails the write that
+    would exceed them."""
+
+    def __init__(self, path, mode, room):
+        self.file, self.room = open(path, mode), room
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.file.close()
+
+    def write(self, data):
+        if len(data) > self.room:
+            self.file.write(data[:self.room])
+            raise OSError(28, "No space left on device")
+        self.room -= len(data)
+        return self.file.write(data)
+
+
+def test_failed_checkpoint_write_keeps_the_previous_file(tmp_path, monkeypatch):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, init_model(small_config(), seed=21))
+    before = path.read_bytes()
+    monkeypatch.setattr(ahmsa.model, "open", lambda path, mode: _FillingDisk(
+        path, mode, room=len(before) // 2), raising=False)
+    with pytest.raises(OSError, match="No space left"):
+        save_checkpoint(path, init_model(small_config(), seed=22))
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
 
 
 def test_checkpoint_header(tmp_path):

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -224,9 +226,25 @@ def test_pyramid_stops_where_a_level_would_not_shrink(scale, sides):
 # -- stacked-field solver against the per-field scheme -------------------------
 
 
-def _reference_tvl1_level(i0, i1, u, v, params):
-    """Per-field TV-L1 level: separate u/v updates, four duals, nested where,
-    computed in the dtype of ``u`` and ``v`` with a float64 warp."""
+def _clip_step(rho, i1wx, i1wy, grad_sq, l_t, floor):
+    """The solver's data step, ``grad * clip(rho / -max(grad_sq, floor), -l_t,
+    l_t)``, in its op order."""
+    coef = np.clip(rho / -np.maximum(grad_sq, floor), -l_t, l_t)
+    return i1wx * coef, i1wy * coef
+
+
+def _where_step(rho, i1wx, i1wy, grad_sq, l_t, floor):
+    """The three-branch data step: clamp where ``|rho| > l_t * grad_sq``,
+    else ``-rho * grad / max(grad_sq, floor)``."""
+    return tuple(np.where(rho < -l_t * grad_sq, l_t * g,
+                          np.where(rho > l_t * grad_sq, -l_t * g,
+                                   -rho * g / np.maximum(grad_sq, floor)))
+                 for g in (i1wx, i1wy))
+
+
+def _reference_tvl1_level(i0, i1, u, v, params, data_step=_clip_step):
+    """Per-field TV-L1 level: separate u/v updates, four duals, computed in
+    the dtype of ``u`` and ``v`` with a float64 warp."""
     h, w = i0.shape
     yy, xx = np.meshgrid(np.arange(h, dtype=np.float64),
                          np.arange(w, dtype=np.float64), indexing="ij")
@@ -262,14 +280,7 @@ def _reference_tvl1_level(i0, i1, u, v, params):
         rho_c = i1w - i1wx * u - i1wy * v - i0
         for _ in range(params.n_inner_iters):
             rho = rho_c + i1wx * u + i1wy * v
-            d1 = np.where(
-                rho < -l_t * grad_sq, l_t * i1wx,
-                np.where(rho > l_t * grad_sq, -l_t * i1wx,
-                         -rho * i1wx / np.maximum(grad_sq, dtype.type(1e-12))))
-            d2 = np.where(
-                rho < -l_t * grad_sq, l_t * i1wy,
-                np.where(rho > l_t * grad_sq, -l_t * i1wy,
-                         -rho * i1wy / np.maximum(grad_sq, dtype.type(1e-12))))
+            d1, d2 = data_step(rho, i1wx, i1wy, grad_sq, l_t, dtype.type(1e-12))
             u = u + d1 + params.theta * divergence(p11, p12)
             v = v + d2 + params.theta * divergence(p21, p22)
             ux, uy = forward_gradient(u)
@@ -361,6 +372,66 @@ def test_tvl1_level_matches_reference_on_flat_image(apex_level):
         assert _same_bits((got_u, got_v), (want_u, want_v))
 
 
+def _first_step(i0, i1, dtype):
+    """The residual ``rho`` and the gradients of ``i1`` in ``dtype``, as one
+    warp from a zero start computes them."""
+    i1y, i1x = np.gradient(i1)
+    return (i1.astype(dtype) - i0.astype(dtype), i1x.astype(dtype),
+            i1y.astype(dtype))
+
+
+def test_tvl1_level_from_zero_start_returns_the_data_step():
+    # a zero-flow warp returns i1 and its gradients exactly and the duals
+    # start at 0, so the first iteration's u and v are the data step d
+    rng = np.random.default_rng(5)
+    i0, i1 = rng.uniform(0.0, 255.0, (2, 12, 9))
+    i1[:, :4] = 80.0  # flat columns, where grad is 0
+    ys, xs = np.indices(i1.shape, dtype=np.float64)
+    images = np.stack([i1, *np.gradient(i1)[::-1]])
+    assert _same_bits(optflow._bilinear_sample(images, ys, xs), images)
+    params = TVL1Params(n_warps=1, n_inner_iters=1)
+    for dtype in LEVEL_DTYPES:
+        zero = np.zeros(i1.shape, dtype)
+        rho, gx, gy = _first_step(i0, i1, dtype)
+        want = _clip_step(rho, gx, gy, gx ** 2 + gy ** 2,
+                          params.lambda_weight * params.theta, dtype(1e-12))
+        got = optflow._tvl1_level(i0, i1, zero, zero, params)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+@st.composite
+def _step_images(draw):
+    """A frame pair whose gradients mix exact zeros, magnitudes below and
+    above the 1e-6 floor, and whose residuals run from 0 to far past the
+    clamp, at two intensity levels."""
+    h, w = draw(st.integers(3, 12)), draw(st.integers(3, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    base = draw(st.sampled_from([0.0, 100.0]))
+    scale = rng.choice([0.0, 0.0, 1e-9, 1e-7, 3e-6, 1e-3, 1.0, 40.0], (h, w))
+    i1 = base + scale * rng.uniform(-1.0, 1.0, (h, w))
+    residual = rng.choice([0.0, 1e-20, 1e-14, 1e-9, 1e-3, 1.0, 30.0], (h, w))
+    return i1 - residual * rng.uniform(-1.0, 1.0, (h, w)), i1
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(pair=_step_images())
+def test_clip_data_step_matches_the_three_branch_step(pair):
+    i0, i1 = pair
+    params = TVL1Params(n_warps=1, n_inner_iters=1)
+    l_t = params.lambda_weight * params.theta
+    rho, gx, gy = _first_step(i0, i1, np.float64)
+    grad_sq = gx ** 2 + gy ** 2
+    want = np.stack(_where_step(rho, gx, gy, grad_sq, l_t, 1e-12))
+    zero = np.zeros(i1.shape)
+    got = np.stack(optflow._tvl1_level(i0, i1, zero, zero, params))
+    bound = l_t * np.sqrt(grad_sq)
+    above = grad_sq >= 1e-12
+    assert (np.abs(got - want)[:, above] <= 4 * np.spacing(bound[above])).all()
+    assert (np.abs(got - want)[:, ~above] <= bound[~above]).all()
+    flat = grad_sq == 0.0
+    assert not got[:, flat].any() and not want[:, flat].any()
+
+
 # 2..20 px grids include 2-wide and 2-tall ones, where the zeroed last
 # x-column and the leading zeros of the flat dual buffer meet every edge
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -400,9 +471,9 @@ def test_tvl1_level_arena_is_aligned_disjoint_and_staggered(monkeypatch, dims):
         optflow._tvl1_level(i0, i1, np.zeros(dims, dtype), np.zeros(dims, dtype),
                             TVL1Params(n_warps=1, n_inner_iters=1))
     assert [{a.dtype for a in arrays} for arrays in arenas] == [
-        {np.dtype(dtype), np.dtype(np.bool_)} for dtype in LEVEL_DTYPES]
+        {np.dtype(dtype)} for dtype in LEVEL_DTYPES]
     for arrays in arenas:
-        assert len(arrays) >= 8
+        assert len(arrays) == 7
         spans = sorted((a.ctypes.data, a.ctypes.data + a.nbytes) for a in arrays)
         assert all(start % 64 == 0 for start, _ in spans)
         assert all(stop <= start for (_, stop), (start, _) in zip(spans, spans[1:]))
@@ -433,16 +504,19 @@ FLOAT32_EPE_MAX_PX = 7.5e-4
 FLOAT32_COMPOSITE_MAX = 2.5e-2
 
 
-def float_tolerance_report(work_dir) -> dict[str, float]:
-    """Solve a fixed set as the program does and with ``SOLVER_DTYPE``
-    float64, and compare the two.
+def float_tolerance_report(work_dir, reference=None, candidate=None) -> dict[str, float]:
+    """Solve a fixed set twice, each time with some ``optflow`` attributes
+    patched, and compare the two solves.
 
-    The set is the acceptance flow oracle's identity and shift cases on a
-    64 px texture, and the samples of two small ``gen_synthetic`` sets at
-    64 px and 128 px, rendered under ``work_dir``.  Returns the median and
-    max end-point error between the two solves over every pixel, each
-    solve's worst median EPE against the known shifts (central 75%), and the
-    max absolute difference of the standardised 28x28x3 composites of the
+    ``reference`` and ``candidate`` map attribute names to the values they
+    take while that side solves; by default the reference solves with
+    ``SOLVER_DTYPE`` float64 and the candidate as the program does.  The set
+    is the acceptance flow oracle's identity and shift cases on a 64 px
+    texture, and the samples of two small ``gen_synthetic`` sets at 64 px and
+    128 px, rendered under ``work_dir``.  Returns the median and max
+    end-point error between the two solves over every pixel, each solve's
+    worst median EPE against the known shifts (central 75%), and the max
+    absolute difference of the standardised 28x28x3 composites of the
     synthetic samples.
     """
     tex = smooth_texture(42)
@@ -455,8 +529,11 @@ def float_tolerance_report(work_dir) -> dict[str, float]:
         frames += [(read_pgm(s.onset_path), read_pgm(s.apex_path), s.landmarks)
                    for s in manifest.samples]
 
-    def solve():
-        return [tvl1_flow(onset, apex) for onset, apex, _ in frames]
+    def solve(patches):
+        with pytest.MonkeyPatch.context() as patch:
+            for name, value in patches.items():
+                patch.setattr(optflow, name, value)
+            return [tvl1_flow(onset, apex) for onset, apex, _ in frames]
 
     def composite(flow, landmarks):
         full = np.stack([flow.u, flow.v, optical_strain(flow)], axis=2)
@@ -467,16 +544,14 @@ def float_tolerance_report(work_dir) -> dict[str, float]:
                                             f.v[CENTRAL, CENTRAL] - dy)))
                    for f, (dx, dy) in zip(flows, shifts))
 
-    narrow = solve()
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(optflow, "SOLVER_DTYPE", np.float64)
-        wide = solve()
+    wide = solve({"SOLVER_DTYPE": np.float64} if reference is None else reference)
+    narrow = solve(candidate or {})
     epe = np.concatenate([np.hypot(a.u - b.u, a.v - b.v).ravel()
                           for a, b in zip(wide, narrow)])
     composite_diff = max(float(np.abs(composite(a, lm) - composite(b, lm)).max())
                          for a, b, (_, _, lm) in zip(wide, narrow, frames) if lm)
     return {"epe_median": float(np.median(epe)), "epe_max": float(epe.max()),
-            "shift_epe_float64": shift_epe(wide), "shift_epe": shift_epe(narrow),
+            "shift_epe_reference": shift_epe(wide), "shift_epe": shift_epe(narrow),
             "composite_max": composite_diff}
 
 
@@ -486,10 +561,40 @@ def test_float32_solver_stays_within_its_pinned_tolerance(tmp_path):
     assert report["epe_max"] <= FLOAT32_EPE_MAX_PX, report
     assert report["composite_max"] <= FLOAT32_COMPOSITE_MAX, report
     # both solves pass the acceptance flow oracle's bound on their own
-    assert report["shift_epe_float64"] < 0.3 and report["shift_epe"] < 0.3, report
+    assert report["shift_epe_reference"] < 0.3 and report["shift_epe"] < 0.3, report
     # else the program solves in float64, and the gate compares a solve
     # with itself
     assert report["epe_max"] > 0.0, report
+
+
+# -- the clip data step against the three-branch one ------------------------------
+# The solver takes the data step as one clip; where |grad|^2 >= 1e-12 that is
+# the three-branch step up to rounding, and below it the two differ by at
+# most lambda * theta * |grad| < 4.5e-8 px.  These bounds pin how far the
+# rewrite moves the flow: at float64 the solves of the two steps, at float32
+# the program against the three-branch program.
+
+CLIP_STEP_EPE_MAX_FLOAT64_PX = 1e-9
+CLIP_STEP_EPE_MEDIAN_PX = 5e-7
+CLIP_STEP_EPE_MAX_PX = 7.5e-4
+CLIP_STEP_COMPOSITE_MAX = 2.5e-2
+
+
+def test_clip_data_step_stays_within_its_pinned_tolerance(tmp_path):
+    three_branch = {"_tvl1_level": functools.partial(_reference_tvl1_level,
+                                                     data_step=_where_step)}
+    wide = float_tolerance_report(tmp_path / "float64",
+                                  {**three_branch, "SOLVER_DTYPE": np.float64},
+                                  {"SOLVER_DTYPE": np.float64})
+    assert wide["epe_max"] <= CLIP_STEP_EPE_MAX_FLOAT64_PX, wide
+    narrow = float_tolerance_report(tmp_path / "float32", three_branch, {})
+    assert narrow["epe_median"] <= CLIP_STEP_EPE_MEDIAN_PX, narrow
+    assert narrow["epe_max"] <= CLIP_STEP_EPE_MAX_PX, narrow
+    assert narrow["composite_max"] <= CLIP_STEP_COMPOSITE_MAX, narrow
+    assert narrow["shift_epe_reference"] < 0.3 and narrow["shift_epe"] < 0.3, narrow
+    # else the two steps take the same path, and the gate compares a solve
+    # with itself
+    assert wide["epe_max"] > 0.0 and narrow["epe_max"] > 0.0, (wide, narrow)
 
 
 def test_tvl1_param_validation():
