@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError, is_int
+from .files import replacing
 from .optflow import LandmarkSet, _bilinear_sample, _gaussian_blur, write_pgm
 
 CLASS_NAMES = ("negative", "positive", "surprise")
@@ -137,6 +138,10 @@ def load_manifest(path, check_paths: bool = True) -> DatasetManifest:
         except ValidationError:
             problems.append(f"line {lineno}: unknown emotion label {emotion!r}")
             continue
+        for role, value in (("database", db), ("subject", subject), ("sample", sample_id)):
+            if "/" in value or "\0" in value:  # the ids name the sample's .flow file
+                problems.append(f"line {lineno}: {role} id {value!r} cannot be part of "
+                                "a file name (it holds '/' or a NUL byte)")
         if sample_id in seen_ids:
             problems.append(
                 f"line {lineno}: duplicate sample id {sample_id!r} "
@@ -433,6 +438,6 @@ def gen_synthetic(out_dir, seed: int = 42, n_subjects: int = 6,
             )
 
     manifest_path = out_dir / "manifest.csv"
-    manifest_path.write_text(MANIFEST_HEADER + "\n" + "\n".join(rows) + "\n",
-                             encoding="utf-8")
+    with replacing(manifest_path) as partial, open(partial, "w", encoding="utf-8") as f:
+        f.write(MANIFEST_HEADER + "\n" + "\n".join(rows) + "\n")
     return load_manifest(manifest_path), manifest_path

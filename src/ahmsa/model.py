@@ -29,18 +29,18 @@ from .tensor import (
     _make,
     _normalize,
     _normalize_grads,
+    _pool_reshape,
     _project,
     _project_grads,
     _sigmoid,
+    _softmax,
+    _softmax_grads,
+    _unbroadcast,
     adaptive_pool,
     conv2d,
     layer_norm,
-    linear,
     matmul,
-    relu,
     reshape,
-    sigmoid,
-    softmax,
     transpose,
     xavier_uniform,
 )
@@ -296,131 +296,106 @@ def patch_embed(x: Tensor, params: ModelParams) -> Tensor:
     return conv2d(x, params.patch_w, params.patch_b, stride=cfg.patch_size)
 
 
-def channel_attention(x: Tensor, blk: BlockParams) -> Tensor:
-    """Gate the channels of [B,H,W,C] by sigmoid(MLP(avgpool) + MLP(maxpool)).
-
-    The MLP weights are shared by both branches.
-    """
-
-    def squeeze_mlp(pooled: Tensor) -> Tensor:
-        hidden = relu(linear(pooled, blk.ca_w1, blk.ca_b1))
-        return linear(hidden, blk.ca_w2, blk.ca_b2)
-
-    b, h, w, c = x.shape
-    # [B,1,N,C] views pooled to [B,1,1,C]: one window per channel over all N
-    # positions
-    positions = (b, 1, h * w, c)
-    avg = adaptive_pool(reshape(x, positions), 1, c, "avg")
-    mx = adaptive_pool(reshape(x, positions), 1, c, "max")
-    weights = sigmoid(squeeze_mlp(avg) + squeeze_mlp(mx))  # [B,1,1,C]
-    return x * weights
+def _accumulate(first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """``first + second`` in a buffer laid out like ``first``, as
+    ``Tensor.backward`` adds a gradient contribution to an earlier one."""
+    total = np.empty_like(first)
+    np.add(first, second, out=total)
+    return total
 
 
-def spatial_attention(x: Tensor, blk: BlockParams, heads: int,
-                      return_weights: bool = False):
-    """Multi-head scaled dot-product attention over the N = H*W positions of
-    [B,H,W,C]."""
-    b, h, w, c = x.shape
-    d = c // heads
-    n = h * w
-
-    def split_heads(t: Tensor) -> Tensor:
-        return transpose(reshape(t, (b, n, heads, d)), (0, 2, 1, 3))  # [B,h,N,D]
-
-    q = split_heads(linear(x, blk.q_w, blk.q_b))
-    k = split_heads(linear(x, blk.k_w, blk.k_b))
-    v = split_heads(linear(x, blk.v_w, blk.v_b))
-    scores = matmul(q, transpose(k, (0, 1, 3, 2))) * (1.0 / np.sqrt(d))
-    weights = softmax(scores, axis=-1)  # [B,h,N,N]
-    z = matmul(weights, v)  # [B,h,N,D]
-    z = reshape(transpose(z, (0, 2, 1, 3)), (b, h, w, c))
-    out = linear(z, blk.o_w, blk.o_b)
-    if return_weights:
-        return out, weights
-    return out
-
-
-def feed_forward(x: Tensor, blk: BlockParams) -> Tensor:
-    """Position-wise expand/contract pair of projections over [B,H,W,C]."""
-    return linear(relu(linear(x, blk.ff_w1, blk.ff_b1)), blk.ff_w2, blk.ff_b2)
-
-
-def _single_position_block(x: Tensor, blk: BlockParams) -> Tensor:
-    """``msa_block`` on a 1x1 grid, recorded as one tape node.
-
-    It runs the numpy operations of the composed block in the same order:
-    channel attention's MLP once, because both of its pools are the identity
-    (``s + s`` and the doubled weight gradients are exact), and spatial
-    attention as ``o(v(.))``, as its softmax over one position is exactly 1.
-    The backward adds every tensor's gradient contributions in the order the
-    tape's reverse topological walk adds them for the composed block, so
-    logits and gradients are bit-identical.
-    """
-    x0 = np.transpose(x.data, (0, 2, 3, 1))  # [B,1,1,C]
-    l1, xhat1, inv1, gb1 = _normalize(x0, blk.ln_ca, 3)
-    h, rows_l1, k_h = _project(l1, blk.ca_w1.data, blk.ca_b1.data)
+def _mlp(x: np.ndarray, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor):
+    """``linear(relu(linear(x, w1, b1)), w2, b2)`` on arrays: the output, and a
+    backward giving fresh (input, w1, b1, w2, b2) gradients."""
+    h, rows, k1 = _project(x, w1.data, b1.data)
     hr = np.maximum(h, 0.0)
-    s, rows_hr, k_s = _project(hr, blk.ca_w2.data, blk.ca_b2.data)
-    gate = _sigmoid(s + s)
-    x1 = x0 + l1 * gate
-    l2, xhat2, inv2, gb2 = _normalize(x1, blk.ln_sa, 3)
-    v, rows_l2, k_v = _project(l2, blk.v_w.data, blk.v_b.data)
-    o, rows_v, k_o = _project(v, blk.o_w.data, blk.o_b.data)
-    x2 = x1 + o
-    l3, xhat3, inv3, gb3 = _normalize(x2, blk.ln_ff, 3)
-    f, rows_l3, k_f = _project(l3, blk.ff_w1.data, blk.ff_b1.data)
-    fr = np.maximum(f, 0.0)
-    f2, rows_fr, k_f2 = _project(fr, blk.ff_w2.data, blk.ff_b2.data)
-    parents = (x, blk.ln_ca.gamma, blk.ln_ca.beta, blk.ca_w1, blk.ca_b1,
-               blk.ca_w2, blk.ca_b2, blk.ln_sa.gamma, blk.ln_sa.beta,
-               blk.v_w, blk.v_b, blk.o_w, blk.o_b, blk.ln_ff.gamma, blk.ln_ff.beta,
-               blk.ff_w1, blk.ff_b1, blk.ff_w2, blk.ff_b2)
+    out, rows_hr, k2 = _project(hr, w2.data, b2.data)
 
     def backward(g):
-        g3 = np.transpose(g, (0, 2, 3, 1))
-        # feed-forward: x2 collects g3 and the norm's input gradient
-        gfr, gw_f2, gb_f2 = _project_grads(g3, rows_fr, k_f2, fr.shape,
-                                           blk.ff_w2.shape)
-        gl3, gw_f, gb_f = _project_grads(gfr * (f > 0.0), rows_l3, k_f, l3.shape,
-                                         blk.ff_w1.shape)
-        dx2, dgamma3, dbeta3 = _normalize_grads(gl3, xhat3, inv3, gb3, 3)
-        g2 = g3 + dx2
-        # spatial attention: o(v(.))
-        gv, gw_o, gb_o = _project_grads(g2, rows_v, k_o, v.shape, blk.o_w.shape)
-        gl2, gw_v, gb_v = _project_grads(gv, rows_l2, k_v, l2.shape, blk.v_w.shape)
-        dx1, dgamma2, dbeta2 = _normalize_grads(gl2, xhat2, inv2, gb2, 3)
-        g1 = g2 + dx1
-        # channel attention: both MLP branches return the same arrays; l1
-        # collects the gate product's term first, then one per branch
-        ggate = g1 * l1
-        gs = ggate * gate * (1.0 - gate)
-        ghr, gw_s, gb_s = _project_grads(gs, rows_hr, k_s, hr.shape, blk.ca_w2.shape)
-        gl1_branch, gw_h, gb_h = _project_grads(ghr * (h > 0.0), rows_l1, k_h,
-                                                l1.shape, blk.ca_w1.shape)
-        gl1 = g1 * gate + gl1_branch
-        gl1 += gl1_branch
-        dx0, dgamma1, dbeta1 = _normalize_grads(gl1, xhat1, inv1, gb1, 3)
-        return (np.transpose(g1 + dx0, (0, 3, 1, 2)), dgamma1, dbeta1,
-                gw_h + gw_h, gb_h + gb_h, gw_s + gw_s, gb_s + gb_s,
-                dgamma2, dbeta2, gw_v, gb_v, gw_o, gb_o,
-                dgamma3, dbeta3, gw_f, gb_f, gw_f2, gb_f2)
+        ghr, gw2, gb2 = _project_grads(g, rows_hr, k2, hr.shape, w2.shape)
+        gx, gw1, gb1 = _project_grads(ghr * (h > 0.0), rows, k1, x.shape, w1.shape)
+        return gx, gw1, gb1, gw2, gb2
 
-    return _make(np.transpose(x2 + f2, (0, 3, 1, 2)), parents, backward, fresh=True)
+    return out, backward
 
 
 def msa_block(x: Tensor, blk: BlockParams, heads: int) -> Tensor:
-    """Pre-norm residual composition of the three sub-modules.
+    """Pre-norm residual block, recorded as one tape node.
 
-    Takes and returns [B,C,H,W]; the norms and sub-modules run channels-last.
-    A 1x1 grid runs as one fused tape node (``_single_position_block``).
+    Takes and returns [B,C,H,W] and runs channels-last inside: channel
+    attention (one MLP on the avg- and on the max-pooled channels gates
+    them), multi-head softmax attention over the N = H*W positions, then the
+    feed-forward pair.  A block without query/key (a 1x1 level) attends as
+    ``z = v``, as a softmax over one position is exactly 1.  It runs the
+    numpy operations of the composed sub-modules (``tests/reference.py``)
+    in their order and adds each tensor's gradient contributions in the
+    order the tape adds them there, so outputs and gradients keep their bytes.
     """
-    if x.shape[2] * x.shape[3] == 1:
-        return _single_position_block(x, blk)
-    x = transpose(x, (0, 2, 3, 1))
-    x = x + channel_attention(layer_norm(x, blk.ln_ca), blk)
-    x = x + spatial_attention(layer_norm(x, blk.ln_sa), blk, heads)
-    x = x + feed_forward(layer_norm(x, blk.ln_ff), blk)
-    return transpose(x, (0, 3, 1, 2))
+    b, c, hh, ww = x.shape
+    n, d = hh * ww, c // heads
+    ca_mlp = (blk.ca_w1, blk.ca_b1, blk.ca_w2, blk.ca_b2)
+    x0 = np.transpose(x.data, (0, 2, 3, 1))  # [B,H,W,C]
+    l1, *norm1 = _normalize(x0, blk.ln_ca, 3)
+    # [B,1,N,C] pooled to [B,1,1,C]: one window per channel over all N positions
+    pools = [_pool_reshape(l1.reshape(b, 1, n, c), 1, c, mode) for mode in ("avg", "max")]
+    mlps = [_mlp(pooled, *ca_mlp) for pooled, _ in pools]
+    gate = _sigmoid(mlps[0][0] + mlps[1][0])
+    x1 = x0 + l1 * gate
+    l2, *norm2 = _normalize(x1, blk.ln_sa, 3)
+    attends = blk.q_w is not None
+    qkv = [(blk.q_w, blk.q_b), (blk.k_w, blk.k_b)] if attends else []
+    qkv.append((blk.v_w, blk.v_b))
+    projected = [_project(l2, w.data, bias.data) for w, bias in qkv]
+    zr = projected[-1][0]  # z = v
+    if attends:
+        q, k, v = (np.transpose(t.reshape(b, n, heads, d), (0, 2, 1, 3))  # [B,h,N,D]
+                   for t, _, _ in projected)
+        scale = np.asarray(1.0 / np.sqrt(d), dtype=x0.dtype)
+        weights = _softmax(np.matmul(q, k.swapaxes(2, 3)) * scale, -1)  # [B,h,N,N]
+        zr = np.transpose(np.matmul(weights, v), (0, 2, 1, 3)).reshape(x0.shape)
+    o, rows_zr, k_o = _project(zr, blk.o_w.data, blk.o_b.data)
+    x2 = x1 + o
+    l3, *norm3 = _normalize(x2, blk.ln_ff, 3)
+    f, ff_backward = _mlp(l3, blk.ff_w1, blk.ff_b1, blk.ff_w2, blk.ff_b2)
+    parents = (x, blk.ln_ca.gamma, blk.ln_ca.beta, *ca_mlp, blk.ln_sa.gamma,
+               blk.ln_sa.beta, *(t for pair in qkv for t in pair), blk.o_w, blk.o_b,
+               blk.ln_ff.gamma, blk.ln_ff.beta, blk.ff_w1, blk.ff_b1, blk.ff_w2, blk.ff_b2)
+
+    def backward(g):
+        # each residual stream takes the add's term, then the norm's
+        g3 = np.transpose(g, (0, 2, 3, 1))
+        gl3, *ff_grads = ff_backward(g3)
+        dx2, *ln3_grads = _normalize_grads(gl3, *norm3, 3)
+        g2 = _accumulate(g3, dx2)
+        gzr, gw_o, gb_o = _project_grads(g2, rows_zr, k_o, x0.shape, blk.o_w.shape)
+        gprojected = [gzr]
+        if attends:
+            gz = np.transpose(gzr.reshape(b, n, heads, d), (0, 2, 1, 3))
+            gscores = _softmax_grads(np.matmul(gz, v.swapaxes(2, 3)), weights, -1) * scale
+            gprojected = [np.transpose(t, (0, 2, 1, 3)).reshape(x0.shape) for t in (
+                np.matmul(gscores, k), np.matmul(q.swapaxes(2, 3), gscores).swapaxes(2, 3),
+                np.matmul(weights.swapaxes(2, 3), gz))]
+        # l2 takes the Q, K and V terms in that order
+        gl2, sa_grads = None, []
+        for gt, (_, rows, k2d), (w, _) in zip(gprojected, projected, qkv):
+            gin, gw, gb = _project_grads(gt, rows, k2d, l2.shape, w.shape)
+            gl2 = gin if gl2 is None else _accumulate(gl2, gin)
+            sa_grads += (gw, gb)
+        dx1, *ln2_grads = _normalize_grads(gl2, *norm2, 3)
+        g1 = _accumulate(g2, dx1)
+        # l1 takes the gate product's term, then the avg branch's, the max branch's
+        gs = _unbroadcast(g1 * l1, gate.shape) * gate * (1.0 - gate)
+        gl1, ca_grads = g1 * gate, []
+        for (_, mlp_backward), (_, pool_backward) in zip(mlps, pools):
+            gpooled, *grads = mlp_backward(gs)
+            gl1 = _accumulate(gl1, pool_backward(gpooled).reshape(l1.shape))
+            ca_grads.append(grads)
+        dx0, *ln1_grads = _normalize_grads(gl1, *norm1, 3)
+        return (np.transpose(_accumulate(g1, dx0), (0, 3, 1, 2)), *ln1_grads,
+                *(a + m for a, m in zip(*ca_grads)), *ln2_grads, *sa_grads, gw_o, gb_o,
+                *ln3_grads, *ff_grads)
+
+    return _make(np.transpose(x2 + f, (0, 3, 1, 2)), parents, backward, fresh=True)
 
 
 def downsample(x: Tensor, tr: TransitionParams, factor: int) -> Tensor:

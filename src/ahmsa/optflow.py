@@ -552,11 +552,12 @@ def read_pgm(path) -> np.ndarray:
 
 
 def write_pgm(path, img: np.ndarray) -> None:
-    """Write floats in [0, 1] as an 8-bit binary PGM."""
+    """Write floats in [0, 1] as an 8-bit binary PGM, through
+    ``files.replacing``: ``path`` never holds a partial file."""
     img = _validate_gray_image(img, "image")
     h, w = img.shape
     quantized = np.round(img * 255.0).astype(np.uint8)
-    with open(path, "wb") as f:
+    with replacing(path) as partial, open(partial, "wb") as f:
         f.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
         f.write(quantized.tobytes())
 

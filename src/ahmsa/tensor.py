@@ -302,19 +302,23 @@ def sigmoid(x: Tensor) -> Tensor:
     return _make(out, (x,), backward)
 
 
+def _softmax(x: np.ndarray, axis: int) -> np.ndarray:
+    """``softmax``'s forward on arrays."""
+    e = np.exp(x - x.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def _softmax_grads(g: np.ndarray, out: np.ndarray, axis: int) -> np.ndarray:
+    """``softmax``'s backward on arrays, from its output ``out``."""
+    return out * (g - (g * out).sum(axis=axis, keepdims=True))
+
+
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Softmax along ``axis`` with max-subtraction for overflow safety."""
     if not -x.ndim <= axis < x.ndim:
         raise DimensionError(f"softmax axis {axis} invalid for shape {x.shape}")
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=axis, keepdims=True)
-
-    def backward(g):
-        inner = (g * out).sum(axis=axis, keepdims=True)
-        return (out * (g - inner),)
-
-    return _make(out, (x,), backward)
+    out = _softmax(x.data, axis)
+    return _make(out, (x,), lambda g: (_softmax_grads(g, out, axis),))
 
 
 # -- matmul ------------------------------------------------------------------

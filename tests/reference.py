@@ -4,6 +4,19 @@ from dataclasses import replace
 
 import numpy as np
 
+from ahmsa.tensor import (
+    Tensor,
+    adaptive_pool,
+    layer_norm,
+    linear,
+    matmul,
+    relu,
+    reshape,
+    sigmoid,
+    softmax,
+    transpose,
+)
+
 
 def per_tensor_adam_step(params, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
     """Adam step ``t`` applied one parameter at a time.
@@ -27,20 +40,66 @@ def with_stand_in_query_key(blk):
     """``blk``, given constant query/key projections if it has none (a 1x1
     level's block), so attention runs its full path.  The softmax over one
     position is exactly 1 whatever they are, and they receive no gradient."""
-    from ahmsa.tensor import Tensor
-
     if blk.q_w is not None:
         return blk
     w, b = Tensor(blk.v_w.data), Tensor(blk.v_b.data)
     return replace(blk, q_w=w, q_b=b, k_w=w, k_b=b)
 
 
+# -- the attention block composed from tape ops: the oracle of model.msa_block --
+
+
+def channel_attention(x, blk):
+    """Gate the channels of [B,H,W,C] by sigmoid(MLP(avgpool) + MLP(maxpool)).
+
+    The MLP weights are shared by both branches.
+    """
+
+    def squeeze_mlp(pooled):
+        hidden = relu(linear(pooled, blk.ca_w1, blk.ca_b1))
+        return linear(hidden, blk.ca_w2, blk.ca_b2)
+
+    b, h, w, c = x.shape
+    # [B,1,N,C] views pooled to [B,1,1,C]: one window per channel over all N
+    # positions
+    positions = (b, 1, h * w, c)
+    avg = adaptive_pool(reshape(x, positions), 1, c, "avg")
+    mx = adaptive_pool(reshape(x, positions), 1, c, "max")
+    weights = sigmoid(squeeze_mlp(avg) + squeeze_mlp(mx))  # [B,1,1,C]
+    return x * weights
+
+
+def spatial_attention(x, blk, heads, return_weights=False):
+    """Multi-head scaled dot-product attention over the N = H*W positions of
+    [B,H,W,C]."""
+    b, h, w, c = x.shape
+    d = c // heads
+    n = h * w
+
+    def split_heads(t):
+        return transpose(reshape(t, (b, n, heads, d)), (0, 2, 1, 3))  # [B,h,N,D]
+
+    q = split_heads(linear(x, blk.q_w, blk.q_b))
+    k = split_heads(linear(x, blk.k_w, blk.k_b))
+    v = split_heads(linear(x, blk.v_w, blk.v_b))
+    scores = matmul(q, transpose(k, (0, 1, 3, 2))) * (1.0 / np.sqrt(d))
+    weights = softmax(scores, axis=-1)  # [B,h,N,N]
+    z = matmul(weights, v)  # [B,h,N,D]
+    z = reshape(transpose(z, (0, 2, 1, 3)), (b, h, w, c))
+    out = linear(z, blk.o_w, blk.o_b)
+    if return_weights:
+        return out, weights
+    return out
+
+
+def feed_forward(x, blk):
+    """Position-wise expand/contract pair of projections over [B,H,W,C]."""
+    return linear(relu(linear(x, blk.ff_w1, blk.ff_b1)), blk.ff_w2, blk.ff_b2)
+
+
 def composed_block(x, blk, heads):
     """msa_block as a composition of its sub-modules on every grid size,
-    the 1x1 grid included (one tape node per op, and no 1x1 shortcut)."""
-    from ahmsa.model import channel_attention, feed_forward, spatial_attention
-    from ahmsa.tensor import layer_norm, transpose
-
+    one tape node per op; a 1x1 block attends through stand-in query/key."""
     blk = with_stand_in_query_key(blk)
     x = transpose(x, (0, 2, 3, 1))
     x = x + channel_attention(layer_norm(x, blk.ln_ca), blk)

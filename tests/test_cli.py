@@ -432,6 +432,24 @@ def test_flow_file_name_collision_rejected(dataset, tmp_path, capsys, monkeypatc
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("char", ["\0", "/"])
+def test_extract_flow_rejects_an_id_that_cannot_name_a_file(dataset, tmp_path, capsys, char):
+    (tmp_path / "images").symlink_to(dataset / "images")
+    lines = (dataset / "manifest.csv").read_text().splitlines()
+    fields = lines[2].split(",")
+    fields[2] = f"s01{char}x"
+    lines[2] = ",".join(fields)
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text("\n".join(lines) + "\n")
+    code = run_cli("extract-flow", "--manifest", str(manifest),
+                   "--out-dir", str(tmp_path / "flow"))
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and "line 3: sample id 's01" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "flow").exists()
+
+
 # -- loso --------------------------------------------------------------------------
 
 
@@ -665,6 +683,10 @@ def test_interrupt_ends_the_workers(dataset, interrupt_dataset, tmp_path, comman
         written = list((tmp_path / "flow").iterdir())
         assert all(p.suffix == ".flow" for p in written)  # no temp file is left
         assert all(ahmsa.optflow.read_flow_map(p).shape == (28, 28, 3) for p in written)
+    else:  # the report comes after the last fold: no part of it, whole or partial
+        left = [p.name for p in (tmp_path / "o").rglob("*")]
+        assert not [name for name in left if name.endswith(".tmp")]
+        assert not {"metrics.json", "confusion_pooled.csv", "confusion_pooled.svg"} & set(left)
 
 
 @forks

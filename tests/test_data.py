@@ -1,4 +1,5 @@
 import hashlib
+import re
 from pathlib import Path
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import ahmsa.data
 from ahmsa.data import (
     MANIFEST_HEADER,
     ConfusionMatrix,
@@ -18,6 +20,7 @@ from ahmsa.data import (
     uf1,
 )
 from ahmsa.errors import AhmsaError, ValidationError
+from test_optflow import _FullDisk
 
 
 # -- map_emotion -------------------------------------------------------------
@@ -104,6 +107,18 @@ def test_load_manifest_subject_shared_across_databases(tmp_path):
     assert "line 4: subject 's01' of database 'dbB'" in msg
     assert "database 'dbA' (line 2)" in msg
     assert "line 5" not in msg  # one problem per clash, at its first line
+
+
+@pytest.mark.parametrize("field,role", [("db", "database"), ("subject", "subject"),
+                                        ("sample", "sample")])
+@pytest.mark.parametrize("char", ["/", "\0"])
+def test_load_manifest_rejects_ids_that_cannot_name_a_file(tmp_path, field, role, char):
+    # the database, subject and sample ids make up the sample's .flow file name
+    bad = f"x{char}y"
+    rows = [_row(sample="a"), _row(**{"sample": "b", field: bad})]
+    with pytest.raises(ValidationError,
+                       match=re.escape(f"line 3: {role} id {bad!r} cannot be part of")):
+        load_manifest(_write(tmp_path, rows), check_paths=False)
 
 
 def test_load_manifest_comma_in_path_rejected(tmp_path):
@@ -401,6 +416,17 @@ def test_gen_synthetic_rejects_non_integer_sizes(tmp_path, name, value):
     with pytest.raises(ValidationError, match=f"{name} must be an integer, got {value!r}"):
         gen_synthetic(tmp_path / "out", **{**kwargs, name: value})
     assert not (tmp_path / "out").exists()
+
+
+def test_failed_manifest_write_keeps_the_previous_file(tmp_path, monkeypatch):
+    sizes = dict(n_subjects=2, samples_per_subject=3, image_size=32)
+    gen_synthetic(tmp_path, seed=7, **sizes)
+    before = (tmp_path / "manifest.csv").read_bytes()
+    monkeypatch.setattr(ahmsa.data, "open", _FullDisk, raising=False)
+    with pytest.raises(OSError, match="No space left"):
+        gen_synthetic(tmp_path, seed=8, **sizes)
+    assert (tmp_path / "manifest.csv").read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["images", "manifest.csv"]
 
 
 def test_gen_synthetic_validation():

@@ -10,9 +10,7 @@ import ahmsa.model
 from ahmsa.errors import AhmsaError, ConfigError, ValidationError
 from ahmsa.model import (
     ModelConfig,
-    channel_attention,
     downsample,
-    feed_forward,
     forward,
     init_model,
     load_checkpoint,
@@ -20,7 +18,6 @@ from ahmsa.model import (
     parameter_count,
     patch_embed,
     save_checkpoint,
-    spatial_attention,
     tiny_config,
 )
 from ahmsa.tensor import (
@@ -46,7 +43,14 @@ from ahmsa.tensor import (
 import ahmsa.model as model_mod
 from ahmsa.train import TrainConfig, train_fold
 from gradcheck import relative_error
-from reference import composed_block, reference_train_fold, with_stand_in_query_key
+from reference import (
+    channel_attention,
+    composed_block,
+    feed_forward,
+    reference_train_fold,
+    spatial_attention,
+    with_stand_in_query_key,
+)
 
 
 def small_config():
@@ -786,9 +790,9 @@ def test_forward_float32_logits_match_nchw_reference():
 
 @pytest.mark.parametrize("part", ["sa", "ca"])
 def test_single_position_shortcuts_bit_exact(part):
-    """The two 1x1 identities the fused block is built on, against the
-    general sub-modules: spatial attention with any query/key is ``o(v(.))``
-    with weights of exactly 1, and channel attention's pools pass ``x``
+    """Two 1x1 identities, against the general sub-modules: spatial
+    attention with any query/key is ``o(v(.))`` with weights of exactly 1
+    (the fused block's ``z = v``), and channel attention's pools pass ``x``
     through, so both MLP branches see ``x`` itself."""
     cfg = ModelConfig()
     params = init_model(cfg, seed=24)
@@ -826,10 +830,10 @@ def test_single_position_shortcuts_bit_exact(part):
         np.testing.assert_array_equal(grads[name], ref_grad, err_msg=name)
 
 
-# -- the fused 1x1 block against the composed sub-modules ----------------------------------------
-# On the 1x1 top level msa_block records one tape node.  Its reference is
-# the composition of channel_attention, spatial_attention and feed_forward
-# (tests/reference.py), which must give the same bytes.
+# -- the fused block against the composed sub-modules ------------------------------------------
+# msa_block records one tape node.  Its reference is the composition of
+# channel_attention, spatial_attention and feed_forward (tests/reference.py),
+# which must give the same bytes on every level's grid.
 
 
 def _block_outputs(block, x0, blk, named, heads, g, passes):
@@ -846,17 +850,19 @@ def _block_outputs(block, x0, blk, named, heads, g, passes):
     return out.data.tobytes(), plain.data.tobytes(), x.grad.tobytes(), grads
 
 
+@pytest.mark.parametrize("level", [0, 1, 2])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("batch", [1, 13, 32])
 @pytest.mark.parametrize("passes", [1, 2])
-def test_fused_single_position_block_bit_exact(dtype, batch, passes):
+def test_fused_block_bit_exact(level, dtype, batch, passes):
     cfg = ModelConfig() if dtype == np.float32 else tiny_config()
     params = init_model(cfg, seed=25, dtype=dtype)
-    blk = params.levels[2][0]
+    blk = params.levels[level][0]
     named = {name: t for name, t in params.named_parameters().items()
-             if name.startswith("level2.block0.")}
+             if name.startswith(f"level{level}.block0.")}
     rng = np.random.default_rng(batch)
-    x0 = rng.standard_normal((batch, cfg.embed_channels, 1, 1)).astype(dtype)
+    side = cfg.grid_at(level)
+    x0 = rng.standard_normal((batch, cfg.embed_channels, side, side)).astype(dtype)
     g = rng.standard_normal(x0.shape).astype(dtype)
     fused = _block_outputs(msa_block, x0, blk, named, cfg.heads, g, passes)
     composed = _block_outputs(composed_block, x0, blk, named, cfg.heads, g, passes)
@@ -877,10 +883,6 @@ def _network_outputs(params, maps, labels):
             + [t.grad.tobytes() for t in named.values()])
 
 
-def _composed_1x1(x, blk):
-    return composed_block(x, blk, ModelConfig().heads)  # tiny_config's too
-
-
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_fused_network_logits_and_gradients_bit_exact(monkeypatch, dtype):
     cfg = ModelConfig() if dtype == np.float32 else tiny_config()
@@ -889,21 +891,21 @@ def test_fused_network_logits_and_gradients_bit_exact(monkeypatch, dtype):
     maps = rng.uniform(-1, 1, (32, 28, 28, 3)).astype(dtype)
     labels = rng.integers(0, 3, 32)
     fused = _network_outputs(params, maps, labels)
-    monkeypatch.setattr(model_mod, "_single_position_block", _composed_1x1)
+    monkeypatch.setattr(model_mod, "msa_block", composed_block)
     assert fused == _network_outputs(params, maps, labels)
 
 
 def test_fused_train_fold_bit_exact(monkeypatch):
     """Three default-config epochs with the fused block and the arena Adam
     give the parameters and loss history of the composed block, which runs
-    the full attention path on the 1x1 level, with a per-tensor Adam."""
+    the full attention path on every level, with a per-tensor Adam."""
     cfg = ModelConfig()
     rng = np.random.default_rng(27)
     maps = rng.standard_normal((45, 28, 28, 3)).astype(np.float32)
     labels = rng.integers(0, 3, 45)
     tc = TrainConfig(epochs=3, learning_rate=1e-3, batch_size=32, seed=5)
     params, history = train_fold(maps, labels, cfg, tc)
-    monkeypatch.setattr(model_mod, "_single_position_block", _composed_1x1)
+    monkeypatch.setattr(model_mod, "msa_block", composed_block)
     ref, ref_history = reference_train_fold(maps, labels, cfg, tc)
     assert history == ref_history
     ref_named = ref.named_parameters()
@@ -912,15 +914,15 @@ def test_fused_train_fold_bit_exact(monkeypatch):
 
 
 def test_default_batch_tape_size_pinned():
-    """One default-config batch-32 loss records 187 ops, and every parameter
-    reaches it."""
+    """One default-config batch-32 loss records 27 ops, each block one of
+    them, and every parameter reaches it."""
     cfg = ModelConfig()
     params = init_model(cfg, seed=28)
     rng = np.random.default_rng(28)
     loss = cross_entropy(forward(rand_maps(rng, 32, cfg), params), rng.integers(0, 3, 32))
     order = loss._topological_order()
-    assert sum(node._backward is not None for node in order) == 187
-    assert len(order) == 436  # the ops and the leaves they read
+    assert sum(node._backward is not None for node in order) == 27
+    assert len(order) == 272  # the ops and the leaves they read
     reached = {id(node) for node in order}
     unreached = {name for name, t in params.named_parameters().items()
                  if id(t) not in reached}

@@ -838,11 +838,11 @@ def test_flow_map_header_layout(tmp_path):
 
 
 class _FullDisk:
-    """A binary file that takes the 16-byte header and then half of the
-    payload before its write fails."""
+    """A file that takes writes of up to 8 bytes (a header's fields) whole,
+    then half of the next one before that write fails."""
 
-    def __init__(self, path, mode):
-        self.file = open(path, mode)
+    def __init__(self, path, mode, **kwargs):
+        self.file = open(path, mode, **kwargs)
 
     def __enter__(self):
         return self
@@ -866,6 +866,17 @@ def test_failed_flow_write_keeps_the_previous_file(tmp_path, monkeypatch):
         write_flow_map(path, np.zeros((4, 4, 3), dtype=np.float32))
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["a.flow"]
+
+
+def test_failed_pgm_write_keeps_the_previous_file(tmp_path, monkeypatch):
+    path = tmp_path / "a.pgm"
+    write_pgm(path, np.full((4, 4), 0.25))
+    before = path.read_bytes()
+    monkeypatch.setattr(optflow, "open", _FullDisk, raising=False)
+    with pytest.raises(OSError, match="No space left"):
+        write_pgm(path, np.full((4, 4), 0.75))
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["a.pgm"]
 
 
 def test_flow_map_rejects_corrupt(tmp_path):
