@@ -16,6 +16,7 @@ permutations of grid positions.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field, fields, replace
 
@@ -211,42 +212,50 @@ def init_model(config: ModelConfig, seed: int, dtype=np.float32) -> ModelParams:
     and dropped, so every other weight keeps the bytes it would have with them.
     """
     rng = np.random.default_rng(seed)
+
+    def tensor(shape, init, kept):
+        t = (xavier_uniform(rng, shape, *init, dtype=dtype) if isinstance(init, tuple)
+             else Tensor(np.full(shape, init, dtype=dtype), requires_grad=True))
+        return t if kept else None
+
+    return _build_model(config, tensor)
+
+
+def _build_model(config: ModelConfig, tensor) -> ModelParams:
+    """The network with each tensor from ``tensor(shape, init, kept)``, called
+    in the order of ``named_parameters``: ``init`` is a constant fill or the
+    (fan_in, fan_out) of a Xavier-uniform weight.  The query/key tensors of a
+    1x1 level, which the network does not hold, are asked for in their place
+    with ``kept`` False, and ``tensor`` returns None for them."""
     c = config.embed_channels
     p = config.patch_size
 
-    def conv_weight(c_out, c_in, k):
-        return xavier_uniform(rng, (c_out, c_in, k, k),
-                              fan_in=c_in * k * k, fan_out=c_out * k * k,
-                              dtype=dtype)
+    def conv_weight(c_out, c_in, k, kept=True):
+        return tensor((c_out, c_in, k, k), (c_in * k * k, c_out * k * k), kept)
 
-    def zeros(*shape):
-        return Tensor(np.zeros(shape, dtype=dtype), requires_grad=True)
-
-    def ones(*shape):
-        return Tensor(np.ones(shape, dtype=dtype), requires_grad=True)
+    def zeros(n, kept=True):
+        return tensor((n,), 0.0, kept)
 
     def ln():
-        return LayerNormParams(gamma=ones(c), beta=zeros(c))
+        return LayerNormParams(gamma=tensor((c,), 1.0, True), beta=zeros(c))
 
     def block(level):
         hidden = c // config.channel_reduction
         ffn = c * config.ffn_expansion
-        blk = BlockParams(
+        attends = config.grid_at(level) > 1
+        return BlockParams(
             ln_ca=ln(),
             ca_w1=conv_weight(hidden, c, 1), ca_b1=zeros(hidden),
             ca_w2=conv_weight(c, hidden, 1), ca_b2=zeros(c),
             ln_sa=ln(),
-            q_w=conv_weight(c, c, 1), q_b=zeros(c),
-            k_w=conv_weight(c, c, 1), k_b=zeros(c),
+            q_w=conv_weight(c, c, 1, attends), q_b=zeros(c, attends),
+            k_w=conv_weight(c, c, 1, attends), k_b=zeros(c, attends),
             v_w=conv_weight(c, c, 1), v_b=zeros(c),
             o_w=conv_weight(c, c, 1), o_b=zeros(c),
             ln_ff=ln(),
             ff_w1=conv_weight(ffn, c, 1), ff_b1=zeros(ffn),
             ff_w2=conv_weight(c, ffn, 1), ff_b2=zeros(c),
         )
-        if config.grid_at(level) == 1:
-            blk.q_w = blk.q_b = blk.k_w = blk.k_b = None
-        return blk
 
     patch_w = conv_weight(c, 3, p)
     patch_b = zeros(c)
@@ -256,8 +265,7 @@ def init_model(config: ModelConfig, seed: int, dtype=np.float32) -> ModelParams:
         TransitionParams(conv_w=conv_weight(c, c, 3), conv_b=zeros(c), ln=ln())
         for _ in range(config.n_layers - 1)
     ]
-    head_w = xavier_uniform(rng, (c, config.n_classes),
-                            fan_in=c, fan_out=config.n_classes, dtype=dtype)
+    head_w = tensor((c, config.n_classes), (c, config.n_classes), True)
     head_b = zeros(config.n_classes)
     return ModelParams(config=config, patch_w=patch_w, patch_b=patch_b,
                        levels=levels, transitions=transitions,
@@ -507,21 +515,26 @@ def load_checkpoint(path) -> ModelParams:
     except ConfigError as exc:
         raise ValidationError(f"{path}: invalid config: {exc}") from exc
     offset = 9 + cfg_len
-    # checked before init_model, so a config naming a huge model allocates nothing
+    # checked before any tensor is built, so a config naming a huge model allocates nothing
     expected = 4 * parameter_count(config)
     if len(data) - offset != expected:
         problem = "truncated" if len(data) - offset < expected else "trailing bytes"
         raise ValidationError(
             f"{path}: {problem}: {len(data) - offset} parameter bytes, "
             f"the config needs {expected}")
-    params = init_model(config, seed=0)
+
+    def tensor(shape, init, kept):
+        nonlocal offset
+        if not kept:
+            return None
+        flat = np.frombuffer(data, dtype="<f4", count=math.prod(shape), offset=offset)
+        offset += flat.nbytes
+        return Tensor(flat.reshape(shape).copy(), requires_grad=True)
+
+    params = _build_model(config, tensor)
     for name, tensor in params.named_parameters().items():
-        flat = np.frombuffer(data, dtype="<f4", count=tensor.data.size,
-                             offset=offset)
-        if not np.isfinite(flat).all():
+        if not np.isfinite(tensor.data).all():
             raise ValidationError(f"{path}: non-finite values in parameter {name!r}")
-        tensor.data = flat.reshape(tensor.data.shape).copy()
-        offset += tensor.data.size * 4
     return params
 
 

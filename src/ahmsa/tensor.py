@@ -173,12 +173,6 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __sub__(self, other):
-        return add(self, mul(_coerce(other, self.dtype), -1.0))
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
     def __repr__(self) -> str:
         return (
             f"Tensor(shape={self.shape}, dtype={self.data.dtype.name}, "
@@ -349,11 +343,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(data, (a, b), backward, fresh=True)
 
 
-# -- linear and convolution ----------------------------------------------------
+# -- projection and convolution ------------------------------------------------
 
 
 def _project(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None):
-    """``linear``'s forward on arrays: (output, [rows,Cin] input, [Cout,Cin] kernel)."""
+    """A pointwise projection of the last axis by a [Cout,Cin,1,1] 1x1-conv
+    kernel, on arrays: (output, [rows,Cin] input, [Cout,Cin] kernel)."""
     c_out, c_in = weight.shape[:2]
     rows = x.reshape(-1, c_in)
     k2d = weight.reshape(c_out, c_in)
@@ -365,37 +360,10 @@ def _project(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None):
 
 def _project_grads(g: np.ndarray, rows: np.ndarray, k2d: np.ndarray,
                    x_shape: tuple[int, ...], weight_shape: tuple[int, ...]):
-    """``linear``'s backward on arrays: fresh (input, weight, bias) gradients."""
+    """``_project``'s backward: fresh (input, weight, bias) gradients."""
     g2 = g.reshape(-1, k2d.shape[0])
     return ((g2 @ k2d).reshape(x_shape), (g2.T @ rows).reshape(weight_shape),
             g2.sum(axis=0))
-
-
-def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
-    """Pointwise projection of the last axis: [..., Cin] -> [..., Cout].
-
-    ``weight`` is a [Cout,Cin,1,1] 1x1-conv kernel, so channels-last
-    activations of any leading shape become one [rows,Cin] @ [Cin,Cout] GEMM.
-    """
-    c_out = weight.shape[0]
-    c_in = x.shape[-1]
-    if weight.ndim != 4 or weight.shape[1:] != (c_in, 1, 1):
-        raise DimensionError(
-            f"linear weight must be [Cout, {c_in}, 1, 1] for input {x.shape}, "
-            f"got {weight.shape}"
-        )
-    if bias is not None and bias.shape != (c_out,):
-        raise DimensionError(
-            f"linear bias shape {bias.shape} does not match {c_out} output channels"
-        )
-    out, rows, k2d = _project(x.data, weight.data,
-                              None if bias is None else bias.data)
-    parents = (x, weight) if bias is None else (x, weight, bias)
-
-    def backward(g):
-        return _project_grads(g, rows, k2d, x.shape, weight.shape)[:len(parents)]
-
-    return _make(out, parents, backward, fresh=True)
 
 
 def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,

@@ -4,11 +4,14 @@ from dataclasses import replace
 
 import numpy as np
 
+from ahmsa.errors import DimensionError
 from ahmsa.tensor import (
     Tensor,
+    _make,
+    _project,
+    _project_grads,
     adaptive_pool,
     layer_norm,
-    linear,
     matmul,
     relu,
     reshape,
@@ -47,6 +50,33 @@ def with_stand_in_query_key(blk):
 
 
 # -- the attention block composed from tape ops: the oracle of model.msa_block --
+
+
+def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
+    """Pointwise projection of the last axis: [..., Cin] -> [..., Cout].
+
+    ``weight`` is a [Cout,Cin,1,1] 1x1-conv kernel, so channels-last
+    activations of any leading shape become one [rows,Cin] @ [Cin,Cout] GEMM.
+    """
+    c_out = weight.shape[0]
+    c_in = x.shape[-1]
+    if weight.ndim != 4 or weight.shape[1:] != (c_in, 1, 1):
+        raise DimensionError(
+            f"linear weight must be [Cout, {c_in}, 1, 1] for input {x.shape}, "
+            f"got {weight.shape}"
+        )
+    if bias is not None and bias.shape != (c_out,):
+        raise DimensionError(
+            f"linear bias shape {bias.shape} does not match {c_out} output channels"
+        )
+    out, rows, k2d = _project(x.data, weight.data,
+                              None if bias is None else bias.data)
+    parents = (x, weight) if bias is None else (x, weight, bias)
+
+    def backward(g):
+        return _project_grads(g, rows, k2d, x.shape, weight.shape)[:len(parents)]
+
+    return _make(out, parents, backward, fresh=True)
 
 
 def channel_attention(x, blk):

@@ -321,6 +321,23 @@ def test_extract_flow_workers_match_one_process(dataset, tmp_path, capsys, monke
     assert len(list((tmp_path / "many").glob("*.flow"))) == 4
 
 
+def test_extract_flow_128px_workers_match_one_process(tmp_path, monkeypatch, four_cpus):
+    # a 128 px level holds 32,768 values per field, where OpenBLAS would
+    # thread a dot product; where each warp stops must not depend on that
+    assert run_cli("gen-synthetic", "--out-dir", str(tmp_path / "data"), "--seed", "21",
+                   "--subjects", "2", "--samples-per-subject", "3",
+                   "--image-size", "128") == 0
+    cfg = write_config(tmp_path)
+    hashes = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("AHMSA_THREADS", threads)
+        assert run_cli("extract-flow", "--manifest", str(tmp_path / "data" / "manifest.csv"),
+                       "--out-dir", str(tmp_path / threads), "--config", str(cfg)) == 0
+        hashes.append(_tree_hash(tmp_path / threads))
+    assert hashes[0] == hashes[1]
+    assert len(list((tmp_path / "2").glob("*.flow"))) == 6
+
+
 @forks
 def test_extract_flow_reads_and_writes_in_the_parent(dataset, tmp_path, capsys,
                                                      monkeypatch, four_cpus):
@@ -1054,6 +1071,7 @@ _BOUNDARIES = [
     ("tvl1.tau", 0.0, _TINY),
     ("tvl1.n_warps", 0, 1),
     ("tvl1.n_inner_iters", 0, 1),
+    ("tvl1.epsilon", -0.1, 0.0),
     ("tvl1.pyramid_levels", 0, 1),
     ("tvl1.pyramid_scale", 0.0, _TINY),
     ("tvl1.pyramid_scale", 1.0, 1.0 - 2 ** -53),

@@ -28,7 +28,6 @@ from ahmsa.tensor import (
     cross_entropy,
     init_adam,
     layer_norm,
-    linear,
     matmul,
     no_grad,
     relu,
@@ -47,6 +46,7 @@ from reference import (
     channel_attention,
     composed_block,
     feed_forward,
+    linear,
     reference_train_fold,
     spatial_attention,
     with_stand_in_query_key,
@@ -456,14 +456,21 @@ def test_forward_ablation_block_counts(blocks):
 # -- checkpoint ----------------------------------------------------------------------------------
 
 
-def test_checkpoint_round_trip_bit_exact(tmp_path):
+def test_checkpoint_round_trip_bit_exact(tmp_path, monkeypatch):
     cfg = small_config()
     params = init_model(cfg, seed=19)
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, params)
-    loaded = load_checkpoint(path)
+    with monkeypatch.context() as patch:  # a load builds the tensors from the file alone
+        patch.setattr(ahmsa.model, "init_model",
+                      lambda *args, **kwargs: pytest.fail("the load drew a model"))
+        loaded = load_checkpoint(path)
+    assert list(loaded.named_parameters()) == list(params.named_parameters())
     for name, t in params.named_parameters().items():
         assert t.data.tobytes() == loaded.named_parameters()[name].data.tobytes(), name
+        assert loaded.named_parameters()[name].requires_grad, name
+    save_checkpoint(tmp_path / "again.ckpt", loaded)
+    assert (tmp_path / "again.ckpt").read_bytes() == path.read_bytes()
     rng = np.random.default_rng(19)
     batch = rand_maps(rng, 2, cfg)
     assert forward(batch, params).data.tobytes() == forward(batch, loaded).data.tobytes()

@@ -15,7 +15,6 @@ from ahmsa.tensor import (
     cross_entropy,
     init_adam,
     layer_norm,
-    linear,
     matmul,
     mul,
     no_grad,
@@ -29,7 +28,7 @@ from ahmsa.tensor import (
 )
 
 from gradcheck import numeric_gradient, relative_error
-from reference import per_tensor_adam_step
+from reference import linear, per_tensor_adam_step
 
 
 def t64(data, requires_grad=False):
