@@ -35,6 +35,12 @@ MIN_PYRAMID_SIDE = 8
 # test_float32_solver_stays_within_its_pinned_tolerance.
 SOLVER_DTYPE = np.float32
 
+# A warp stops after the first inner iteration whose mean squared update of
+# (u, v) per pixel is below STOP_EPSILON ** 2, with n_inner_iters as the cap
+# (Sanchez Perez, Meinhardt-Llopis & Facciolo, "TV-L1 Optical Flow
+# Estimation", IPOL 2013, which uses 0.01); 0 runs every inner iteration.
+STOP_EPSILON = 0.01
+
 
 @dataclass(frozen=True)
 class TVL1Params:
@@ -42,11 +48,8 @@ class TVL1Params:
 
     Defaults are the standard parameterization of the method (data weight
     0.15 against intensities in 0..255, coupling 0.3, dual step 0.25, five
-    warps of at most thirty inner iterations over a half-scale pyramid).  A
-    warp stops after the first inner iteration whose mean squared update of
-    (u, v) per pixel is below ``epsilon ** 2`` (Sanchez Perez,
-    Meinhardt-Llopis & Facciolo, "TV-L1 Optical Flow Estimation", IPOL 2013);
-    ``epsilon = 0`` runs every inner iteration.
+    warps of at most thirty inner iterations over a half-scale pyramid; see
+    ``STOP_EPSILON``).
     """
 
     lambda_weight: float = field(default=0.15, metadata={"rule": "positive"})
@@ -54,7 +57,6 @@ class TVL1Params:
     tau: float = field(default=0.25, metadata={"rule": "positive"})
     n_warps: int = field(default=5, metadata={"rule": "positive"})
     n_inner_iters: int = field(default=30, metadata={"rule": "positive"})
-    epsilon: float = field(default=0.01, metadata={"rule": ">= 0"})
     # None = deepest pyramid allowed
     pyramid_levels: int | None = field(default=None, metadata={"rule": "positive"})
     pyramid_scale: float = field(default=0.5, metadata={"rule": "in (0, 1)"})
@@ -284,9 +286,9 @@ def _tvl1_level(i0: np.ndarray, i1: np.ndarray, u: np.ndarray, v: np.ndarray,
     once, and the warped image and gradients once per warp.  The warp itself,
     its coordinates and ``np.gradient(i1)`` stay float64.
 
-    With ``params.epsilon > 0`` a warp ends after the iteration whose squared
-    update, summed over both fields by ``np.add.reduce`` (no BLAS call, so the
-    sum does not depend on thread settings), is below ``epsilon**2 * H*W``.
+    A warp ends after the iteration whose squared update, summed over both
+    fields by ``np.add.reduce`` (no BLAS call, so the sum does not depend on
+    thread settings), is below ``STOP_EPSILON**2 * H*W``.
     """
     h, w = i0.shape
     n = h * w
@@ -317,7 +319,7 @@ def _tvl1_level(i0: np.ndarray, i1: np.ndarray, u: np.ndarray, v: np.ndarray,
     images = np.stack([i1, i1x, i1y])
     del i1x, i1y
     add, sub, mul = np.add, np.subtract, np.multiply
-    stop = params.epsilon ** 2 * n  # 0: run every inner iteration
+    stop = STOP_EPSILON ** 2 * n  # 0: a sum of squares is never below it
 
     for _ in range(params.n_warps):
         uv = cur[0]
@@ -349,10 +351,9 @@ def _tvl1_level(i0: np.ndarray, i1: np.ndarray, u: np.ndarray, v: np.ndarray,
             add(d, norm, d)
             mul(d, theta, d)
             add(new, d, new)
-            if stop:  # d is free until the dual step
-                sub(new, uv, d)
-                mul(d, d, d)
-                moved = add.reduce(d, axis=None)
+            sub(new, uv, d)  # d is free until the dual step
+            mul(d, d, d)
+            moved = add.reduce(d, axis=None)
             sub(right, left, gx_head)
             gx_last.fill(0.0)
             sub(down, up, gy_head)
@@ -366,7 +367,7 @@ def _tvl1_level(i0: np.ndarray, i1: np.ndarray, u: np.ndarray, v: np.ndarray,
             add(p, g, p)
             np.divide(p, norm_xy, p)
             cur, nxt = nxt, cur
-            if stop and moved < stop:
+            if moved < stop:
                 break
         # free this warp's linearization before the next one is built
         del grad, neg_denom, rho_c

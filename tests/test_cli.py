@@ -1071,7 +1071,6 @@ _BOUNDARIES = [
     ("tvl1.tau", 0.0, _TINY),
     ("tvl1.n_warps", 0, 1),
     ("tvl1.n_inner_iters", 0, 1),
-    ("tvl1.epsilon", -0.1, 0.0),
     ("tvl1.pyramid_levels", 0, 1),
     ("tvl1.pyramid_scale", 0.0, _TINY),
     ("tvl1.pyramid_scale", 1.0, 1.0 - 2 ** -53),

@@ -246,8 +246,8 @@ def _reference_tvl1_level(i0, i1, u, v, params, data_step=_clip_step, stops=None
     """Per-field TV-L1 level: separate u/v updates, four duals, computed in
     the dtype of ``u`` and ``v`` with a float64 warp.  A warp stops after the
     first inner iteration whose mean squared update of (u, v), taken in
-    float64, is below ``params.epsilon ** 2``; ``stops`` (a list) gets each
-    warp's iteration count."""
+    float64, is below ``optflow.STOP_EPSILON ** 2``; ``stops`` (a list) gets
+    each warp's iteration count."""
     h, w = i0.shape
     yy, xx = np.meshgrid(np.arange(h, dtype=np.float64),
                          np.arange(w, dtype=np.float64), indexing="ij")
@@ -296,7 +296,7 @@ def _reference_tvl1_level(i0, i1, u, v, params, data_step=_clip_step, stops=None
             p21 = (p21 + taut * vx) / norm2
             p22 = (p22 + taut * vy) / norm2
             du, dv = (a.astype(np.float64) - b for a, b in ((u, u_prev), (v, v_prev)))
-            if np.mean(du ** 2 + dv ** 2) < params.epsilon ** 2:
+            if np.mean(du ** 2 + dv ** 2) < optflow.STOP_EPSILON ** 2:
                 break
         if stops is not None:
             stops.append(count)
@@ -337,9 +337,10 @@ LEVEL_DTYPES = (np.float64, np.float32)
 
 @pytest.mark.parametrize("dims,shift", [((64, 64), (1.5, -2.0)),
                                         ((40, 24), (-0.7, 1.2))])
-def test_tvl1_level_matches_per_field_reference(dims, shift):
+def test_tvl1_level_matches_per_field_reference(monkeypatch, dims, shift):
     onset, apex = _textured_pair(*dims, *shift)
-    params = TVL1Params(epsilon=0.0)
+    params = TVL1Params()
+    monkeypatch.setattr(optflow, "STOP_EPSILON", 0.0)  # pins the arithmetic, not the stop
     i0, i1 = onset * 255.0, apex * 255.0
     for dtype in LEVEL_DTYPES:
         zero = np.zeros(dims, dtype)
@@ -459,11 +460,13 @@ def test_tvl1_level_matches_reference_on_random_cases(h, w, seed, n_warps,
         assert _same_bits(got, _reference_tvl1_level(i0, i1, u0, v0, params))
 
 
-@pytest.mark.parametrize("params,counts", [(TVL1Params(epsilon=1e9), {1}),
-                                           (TVL1Params(epsilon=0.0), {30}),
-                                           (TVL1Params(), None)],
+@pytest.mark.parametrize("epsilon,counts", [(1e9, {1}), (0.0, {30}),
+                                            (optflow.STOP_EPSILON, None)],
                          ids=["huge", "zero", "default"])
-def test_tvl1_level_stops_each_warp_once_its_update_is_below_epsilon(params, counts):
+def test_tvl1_level_stops_each_warp_once_its_update_is_below_epsilon(monkeypatch,
+                                                                    epsilon, counts):
+    monkeypatch.setattr(optflow, "STOP_EPSILON", epsilon)
+    params = TVL1Params()
     onset, apex = _textured_pair(32, 48, 0.8, -1.1)
     i0, i1 = onset * 255.0, apex * 255.0
     for dtype in LEVEL_DTYPES:
@@ -510,7 +513,8 @@ def test_tvl1_level_arena_is_aligned_disjoint_and_staggered(monkeypatch, dims):
                          ids=lambda dims: f"{dims[0]}x{dims[1]}")
 def test_tvl1_flow_file_bytes_match_reference(tmp_path, monkeypatch, dims):
     onset, apex = _textured_pair(*dims, -1.0, 0.5)
-    params = TVL1Params(epsilon=0.0)
+    params = TVL1Params()
+    monkeypatch.setattr(optflow, "STOP_EPSILON", 0.0)  # pins the arithmetic, not the stop
     for dtype in LEVEL_DTYPES:
         monkeypatch.setattr(optflow, "SOLVER_DTYPE", dtype)
         flow = tvl1_flow(onset, apex, params)
@@ -543,10 +547,9 @@ def oracle_shift_epe(flows) -> float:
                for f, (dx, dy) in zip(flows, ORACLE_SHIFTS))
 
 
-def float_tolerance_report(work_dir, reference=None, candidate=None,
-                           params=None) -> dict[str, float]:
-    """Solve a fixed set twice with ``params``, each time with some
-    ``optflow`` attributes patched, and compare the two solves.
+def float_tolerance_report(work_dir, reference=None, candidate=None) -> dict[str, float]:
+    """Solve a fixed set twice, each time with some ``optflow`` attributes
+    patched, and compare the two solves.
 
     ``reference`` and ``candidate`` map attribute names to the values they
     take while that side solves; by default the reference solves with
@@ -571,7 +574,7 @@ def float_tolerance_report(work_dir, reference=None, candidate=None,
         with pytest.MonkeyPatch.context() as patch:
             for name, value in patches.items():
                 patch.setattr(optflow, name, value)
-            return [tvl1_flow(onset, apex, params) for onset, apex, _ in frames]
+            return [tvl1_flow(onset, apex) for onset, apex, _ in frames]
 
     def composite(flow, landmarks):
         full = np.stack([flow.u, flow.v, optical_strain(flow)], axis=2)
@@ -619,12 +622,12 @@ def test_clip_data_step_stays_within_its_pinned_tolerance(tmp_path):
     # iterations, which would hide the step's deviation
     three_branch = {"_tvl1_level": functools.partial(_reference_tvl1_level,
                                                      data_step=_where_step)}
-    fixed = TVL1Params(epsilon=0.0)
+    fixed = {"STOP_EPSILON": 0.0}
     wide = float_tolerance_report(tmp_path / "float64",
-                                  {**three_branch, "SOLVER_DTYPE": np.float64},
-                                  {"SOLVER_DTYPE": np.float64}, fixed)
+                                  {**three_branch, **fixed, "SOLVER_DTYPE": np.float64},
+                                  {**fixed, "SOLVER_DTYPE": np.float64})
     assert wide["epe_max"] <= CLIP_STEP_EPE_MAX_FLOAT64_PX, wide
-    narrow = float_tolerance_report(tmp_path / "float32", three_branch, {}, fixed)
+    narrow = float_tolerance_report(tmp_path / "float32", {**three_branch, **fixed}, fixed)
     assert narrow["epe_median"] <= CLIP_STEP_EPE_MEDIAN_PX, narrow
     assert narrow["epe_max"] <= CLIP_STEP_EPE_MAX_PX, narrow
     assert narrow["composite_max"] <= CLIP_STEP_COMPOSITE_MAX, narrow
@@ -643,11 +646,12 @@ def test_clip_data_step_stays_within_its_pinned_tolerance(tmp_path):
 STOPPED_SHIFT_EPE_PX = 0.03
 
 
-def test_stopped_solve_stays_within_its_pinned_truth_bound():
+def test_stopped_solve_stays_within_its_pinned_truth_bound(monkeypatch):
     tex = smooth_texture(42)
     pairs = [(tex, fourier_shift(tex, dy, dx)) for dx, dy in ORACLE_SHIFTS]
     stopped = oracle_shift_epe([tvl1_flow(*pair) for pair in pairs])
-    fixed = oracle_shift_epe([tvl1_flow(*pair, TVL1Params(epsilon=0.0)) for pair in pairs])
+    monkeypatch.setattr(optflow, "STOP_EPSILON", 0.0)
+    fixed = oracle_shift_epe([tvl1_flow(*pair) for pair in pairs])
     assert stopped <= STOPPED_SHIFT_EPE_PX, (stopped, fixed)
     # else the default runs every iteration, and the pin judges nothing new
     assert stopped != fixed
@@ -669,7 +673,6 @@ def test_tvl1_param_validation():
     ("theta", float("inf"), "theta must be a finite number"),
     ("tau", "0.25", "tau must be a finite number"),
     ("pyramid_scale", False, "pyramid_scale must be a finite number"),
-    ("epsilon", float("nan"), "epsilon must be a finite number"),
 ])
 def test_tvl1_params_reject_wrong_types(field, value, problem):
     with pytest.raises(ValidationError, match=problem):
