@@ -9,9 +9,9 @@ Subcommands:
 
 Configuration is a flat JSON file of dotted keys ("model.heads": 3) merged
 with command-line overrides.  Each section is checked once, when it is
-built, and every problem in all four is reported in one config error; every
-resolved value is echoed into metrics.json so a run can be reproduced from
-its own output.
+built, and every problem in all four is reported in one config error.
+metrics.json echoes every resolved value that produced it (tvl1.* and flow.*
+only with --extract), so a run can be reproduced from its own output.
 
 Flow extraction (extract-flow, or --extract) and the LOSO folds run in one
 forked worker process per usable CPU, capped by AHMSA_THREADS.
@@ -62,15 +62,15 @@ class RunConfig:
 
     def __post_init__(self):
         # the region composite, a 2x2 tiling of landmark crops, is the
-        # network's h_flow x w_flow input
+        # network's h_flow x h_flow input
         if self.model.h_flow % 2 != 0:
             raise ConfigError("model.h_flow must be even for the 2x2 region "
                               f"composite, got {self.model.h_flow}")
 
-    def flat_dict(self) -> dict:
+    def flat_dict(self, sections=("model", "train", "tvl1", "flow")) -> dict:
         out = {}
-        for section_name, section in (("model", self.model), ("train", self.train),
-                                      ("tvl1", self.tvl1), ("flow", self.flow)):
+        for section_name in sections:
+            section = getattr(self, section_name)
             for f in fields(section):
                 value = getattr(section, f.name)
                 if isinstance(value, tuple):
@@ -390,7 +390,8 @@ def cmd_loso(args) -> int:
     run, workers, manifest, maps = _training_inputs(args)
     report = run_loso(manifest, maps, run.model, run.train, parallel_folds=workers)
     payload = report.to_json_dict()
-    payload["config"] = run.flat_dict()
+    # with --flow-dir, the extract-flow run that wrote the files set tvl1/flow
+    payload["config"] = run.flat_dict() if args.extract else run.flat_dict(("model", "train"))
     _write_report_files(Path(args.out_dir), payload)
     print(f"pooled UF1 {payload['pooled']['uf1']:.4f} "
           f"UAR {payload['pooled']['uar']:.4f}")
@@ -437,7 +438,6 @@ _OVERRIDES = {
     "--lr": ("train.learning_rate", {"type": float}),
     "--seed": ("train.seed", {"type": int}),
     "--blocks": ("model.blocks_per_layer", {"help": "comma list, e.g. 1,1,8"}),
-    "--layers": ("model.n_layers", {"type": int}),
     "--scale-factor": ("model.downsample_factor", {"type": int}),
     "--heads": ("model.heads", {"type": int}),
     "--embed-channels": ("model.embed_channels", {"type": int}),

@@ -16,7 +16,7 @@ from .files import replacing
 from .optflow import LandmarkSet, _bilinear_sample, _gaussian_blur, write_pgm
 
 CLASS_NAMES = ("negative", "positive", "surprise")
-N_CLASSES = 3
+N_CLASSES = len(CLASS_NAMES)
 
 # raw emotion word -> class id (0 negative, 1 positive, 2 surprise);
 # category names map to themselves so manifests may carry either granularity

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
+from .data import N_CLASSES
 from .errors import ConfigError, ValidationError, check_fields
 from .files import replacing
 from .tensor import (
@@ -47,23 +48,20 @@ from .tensor import (
 )
 
 CHECKPOINT_MAGIC = b"AHMC"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Architecture knobs; defaults give the 28x28x3 -> 3-class network."""
+    """Architecture knobs; defaults give the 28x28x3 -> 3-class network.  One
+    level per ``blocks_per_layer`` entry; the patch size makes the top 1x1."""
 
     h_flow: int = field(default=28, metadata={"rule": "positive"})
-    w_flow: int = field(default=28, metadata={"rule": "positive"})
-    patch_size: int = field(default=7, metadata={"rule": "positive"})
     embed_channels: int = field(default=96, metadata={"rule": "positive"})
     heads: int = field(default=3, metadata={"rule": "positive"})
-    n_layers: int = field(default=3, metadata={"rule": "positive"})
     downsample_factor: int = field(default=2, metadata={"rule": "positive"})
     blocks_per_layer: tuple[int, ...] = field(default=(2, 2, 8),
                                               metadata={"rule": "positive"})
-    n_classes: int = field(default=3, metadata={"rule": ">= 2"})
     channel_reduction: int = field(default=4, metadata={"rule": "positive"})
     ffn_expansion: int = field(default=4, metadata={"rule": "positive"})
 
@@ -75,16 +73,23 @@ class ModelConfig:
         check_fields(self, "model", self._joint_problems)
 
     @property
+    def n_layers(self) -> int:
+        return len(self.blocks_per_layer)
+
+    @property
     def grid(self) -> int:
-        return self.h_flow // self.patch_size
+        """Patches per side at level 0, which the downsampling takes to 1x1."""
+        return self.downsample_factor ** (self.n_layers - 1)
+
+    @property
+    def patch_size(self) -> int:
+        return self.h_flow // self.grid
 
     def grid_at(self, level: int) -> int:
         return self.grid // self.downsample_factor ** level
 
     def _joint_problems(self) -> list[str]:
         problems = []
-        if self.h_flow != self.w_flow:
-            problems.append("h_flow and w_flow must match (square patch grid)")
         if self.embed_channels % self.heads != 0:
             problems.append(
                 f"embed_channels={self.embed_channels} not divisible by heads={self.heads}")
@@ -92,26 +97,15 @@ class ModelConfig:
             problems.append(
                 f"embed_channels={self.embed_channels} not divisible by "
                 f"channel_reduction={self.channel_reduction}")
-        if self.h_flow % self.patch_size != 0 or self.w_flow % self.patch_size != 0:
+        # past h_flow.bit_length() levels any factor >= 2 overshoots h_flow,
+        # so the grid, which could be huge, is not computed
+        overshoots = self.downsample_factor > 1 and self.n_layers > self.h_flow.bit_length()
+        if overshoots or self.h_flow % self.grid != 0:
+            grid = f"more than {self.h_flow}" if overshoots else self.grid
             problems.append(
-                f"h_flow x w_flow = {self.h_flow}x{self.w_flow} not divisible by "
-                f"patch_size={self.patch_size}")
-        else:
-            # past grid.bit_length() levels any factor >= 2 overshoots the
-            # grid; the power is then not computed, as it could be huge
-            if self.downsample_factor > 1 and \
-                    self.n_layers - 1 > self.grid.bit_length():
-                top = f"more than {self.grid}"
-            else:
-                top = self.downsample_factor ** (self.n_layers - 1)
-            if self.grid != top:
-                problems.append(
-                    f"n_layers={self.n_layers}: patch grid {self.grid} must equal "
-                    f"downsample_factor^(n_layers-1) = {top} so the top level is 1x1")
-        if len(self.blocks_per_layer) != self.n_layers:
-            problems.append(
-                f"blocks_per_layer has {len(self.blocks_per_layer)} entries "
-                f"for n_layers={self.n_layers}")
+                f"h_flow={self.h_flow} must be a multiple of the patch grid "
+                f"downsample_factor^(levels-1) = {grid} so the top level is 1x1 "
+                f"(levels = {self.n_layers} blocks_per_layer entries)")
         return problems
 
 
@@ -265,30 +259,11 @@ def _build_model(config: ModelConfig, tensor) -> ModelParams:
         TransitionParams(conv_w=conv_weight(c, c, 3), conv_b=zeros(c), ln=ln())
         for _ in range(config.n_layers - 1)
     ]
-    head_w = tensor((c, config.n_classes), (c, config.n_classes), True)
-    head_b = zeros(config.n_classes)
+    head_w = tensor((c, N_CLASSES), (c, N_CLASSES), True)
+    head_b = zeros(N_CLASSES)
     return ModelParams(config=config, patch_w=patch_w, patch_b=patch_b,
                        levels=levels, transitions=transitions,
                        head_w=head_w, head_b=head_b)
-
-
-def parameter_count(config: ModelConfig) -> int:
-    """Number of learnable scalars ``init_model(config)`` creates, from shapes alone."""
-    c = config.embed_channels
-    hidden = c // config.channel_reduction
-    ffn = c * config.ffn_expansion
-    norm = 2 * c
-    block = (3 * norm + 2 * hidden * c + hidden + c  # channel-attention MLP
-             + 2 * (c * c + c)  # v, o
-             + 2 * ffn * c + ffn + c)
-    query_key = 2 * (c * c + c)  # only on levels wider than 1x1
-    wide_blocks = sum(n for level, n in enumerate(config.blocks_per_layer)
-                      if config.grid_at(level) > 1)
-    transition = 9 * c * c + c + norm
-    return (3 * config.patch_size ** 2 * c + c
-            + sum(config.blocks_per_layer) * block + wide_blocks * query_key
-            + (config.n_layers - 1) * transition
-            + c * config.n_classes + config.n_classes)
 
 
 # -- forward pieces -----------------------------------------------------------
@@ -297,9 +272,9 @@ def parameter_count(config: ModelConfig) -> int:
 def patch_embed(x: Tensor, params: ModelParams) -> Tensor:
     """Strided PxP convolution turning [B,3,H,W] into the patch grid [B,C,H/P,W/P]."""
     cfg = params.config
-    if x.shape[1:] != (3, cfg.h_flow, cfg.w_flow):
+    if x.shape[1:] != (3, cfg.h_flow, cfg.h_flow):
         raise ValidationError(
-            f"expected input [B, 3, {cfg.h_flow}, {cfg.w_flow}], got {x.shape}"
+            f"expected input [B, 3, {cfg.h_flow}, {cfg.h_flow}], got {x.shape}"
         )
     return conv2d(x, params.patch_w, params.patch_b, stride=cfg.patch_size)
 
@@ -426,14 +401,14 @@ def _as_input_tensor(maps, config: ModelConfig, dtype) -> Tensor:
     arr = np.asarray(maps)
     if arr.ndim != 4 or arr.shape[3] != 3:
         raise ValidationError(
-            f"expected a [B, {config.h_flow}, {config.w_flow}, 3] batch, got {arr.shape}"
+            f"expected a [B, {config.h_flow}, {config.h_flow}, 3] batch, got {arr.shape}"
         )
     # a [B,3,H,W] view: patch_embed's im2col reads the channels-last memory
     return Tensor(arr.transpose(0, 3, 1, 2), dtype=dtype)
 
 
 def forward(maps, params: ModelParams, trace: list | None = None) -> Tensor:
-    """Run the full network on a batch of feature maps, returning [B, n_classes] logits.
+    """Run the full network on a batch of feature maps, returning [B, N_CLASSES] logits.
 
     ``trace``, when given, collects the shape after every pipeline stage.
     """
@@ -514,24 +489,28 @@ def load_checkpoint(path) -> ModelParams:
         config = ModelConfig(**cfg_dict)
     except ConfigError as exc:
         raise ValidationError(f"{path}: invalid config: {exc}") from exc
-    offset = 9 + cfg_len
-    # checked before any tensor is built, so a config naming a huge model allocates nothing
-    expected = 4 * parameter_count(config)
-    if len(data) - offset != expected:
-        problem = "truncated" if len(data) - offset < expected else "trailing bytes"
-        raise ValidationError(
-            f"{path}: {problem}: {len(data) - offset} parameter bytes, "
-            f"the config needs {expected}")
+    start = offset = 9 + cfg_len
 
+    # every tensor holds at least one value, and each is checked against the
+    # file before it is read, so a config naming a huge model allocates nothing
     def tensor(shape, init, kept):
         nonlocal offset
         if not kept:
             return None
-        flat = np.frombuffer(data, dtype="<f4", count=math.prod(shape), offset=offset)
+        count = math.prod(shape)
+        if offset + 4 * count > len(data):
+            raise ValidationError(
+                f"{path}: truncated: {len(data) - start} parameter bytes, "
+                "fewer than the config needs")
+        flat = np.frombuffer(data, dtype="<f4", count=count, offset=offset)
         offset += flat.nbytes
         return Tensor(flat.reshape(shape).copy(), requires_grad=True)
 
     params = _build_model(config, tensor)
+    if offset != len(data):
+        raise ValidationError(
+            f"{path}: trailing bytes: {len(data) - start} parameter bytes, "
+            f"the config needs {offset - start}")
     for name, tensor in params.named_parameters().items():
         if not np.isfinite(tensor.data).all():
             raise ValidationError(f"{path}: non-finite values in parameter {name!r}")

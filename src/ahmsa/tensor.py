@@ -91,9 +91,6 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def item(self) -> float:
-        return float(self.data.reshape(-1)[0])
-
     def zero_grad(self) -> None:
         # drop the buffer; the lazy getter recreates zeros on demand
         self._grad = None

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .data import (
-    N_CLASSES,
     ConfusionMatrix,
     DatasetManifest,
     loso_splits,
@@ -150,8 +149,8 @@ def train_fold(maps: np.ndarray, labels: np.ndarray, model_config: ModelConfig,
     return params, history
 
 
-def evaluate(params: ModelParams, maps: np.ndarray, labels: np.ndarray,
-             n_classes: int = N_CLASSES) -> tuple[ConfusionMatrix, np.ndarray]:
+def evaluate(params: ModelParams, maps: np.ndarray,
+             labels: np.ndarray) -> tuple[ConfusionMatrix, np.ndarray]:
     """Argmax predictions (ties to the lowest class index) into a confusion matrix.
 
     Returns the matrix and the per-sample predicted classes; parameters are
@@ -163,7 +162,7 @@ def evaluate(params: ModelParams, maps: np.ndarray, labels: np.ndarray,
         raise ValidationError("evaluation set is empty")
     if maps.shape[0] != len(labels):
         raise ValidationError(f"{maps.shape[0]} maps for {len(labels)} labels")
-    matrix = ConfusionMatrix(n_classes)
+    matrix = ConfusionMatrix()
     predictions = np.empty(len(labels), dtype=np.int64)
     with no_grad():
         for start in range(0, len(labels), EVAL_BATCH):

@@ -26,6 +26,7 @@ import ahmsa.workers
 from ahmsa import FlowOptions, ModelConfig, TrainConfig, TVL1Params
 from ahmsa.cli import build_run_config, confusion_to_csv, confusion_to_svg, main
 from ahmsa.errors import AhmsaError, ConfigError
+from ahmsa.model import forward, init_model
 
 
 def run_cli(*argv) -> int:
@@ -42,8 +43,7 @@ def _tree_hash(root: Path) -> str:
 
 
 SMALL_MODEL_OVERRIDES = {
-    "model.h_flow": 8, "model.w_flow": 8, "model.patch_size": 2,
-    "model.embed_channels": 12, "model.heads": 3,
+    "model.h_flow": 8, "model.embed_channels": 12, "model.heads": 3,
     "model.blocks_per_layer": [1, 1, 1], "model.channel_reduction": 4,
     "model.ffn_expansion": 2,
     "flow.region_px": 16,
@@ -499,6 +499,30 @@ def test_loso_flow_dir_roundtrip(dataset, tmp_path, capsys):
                    "--config", str(cfg)) == 0
     capsys.readouterr()
     assert (out_dir / "metrics.json").is_file()
+
+
+@pytest.mark.parametrize("source", ["--extract", "--flow-dir"])
+def test_loso_report_config_names_only_what_produced_it(dataset, tmp_path, capsys, source):
+    """tvl1.*/flow.* made the feature maps only when this run extracted them."""
+    cfg = write_config(tmp_path, {"train.epochs": 1, "train.batch_size": 4,
+                                  "tvl1.n_warps": 2})
+    manifest = str(dataset / "manifest.csv")
+    inputs = ["--extract"]
+    if source == "--flow-dir":
+        flow_dir = tmp_path / "flow"
+        assert run_cli("extract-flow", "--manifest", manifest, "--out-dir",
+                       str(flow_dir), "--config", str(cfg)) == 0
+        inputs = ["--flow-dir", str(flow_dir)]
+    out_dir = tmp_path / "out"
+    assert run_cli("loso", "--manifest", manifest, *inputs, "--out-dir", str(out_dir),
+                   "--config", str(cfg)) == 0
+    capsys.readouterr()
+    recorded = json.loads((out_dir / "metrics.json").read_text())["config"]
+    every = build_run_config(str(cfg), {}).flat_dict()
+    kept = ("model.", "train.", "tvl1.", "flow.") if source == "--extract" \
+        else ("model.", "train.")
+    assert recorded == {k: v for k, v in every.items() if k.startswith(kept)}
+    assert ("tvl1.n_warps" in recorded) == (source == "--extract")
 
 
 def test_loso_batch_size_zero_exit_2(dataset, tmp_path, capsys):
@@ -1026,15 +1050,59 @@ def test_odd_flow_side_is_rejected_before_any_frame_is_read(dataset, tmp_path,
         raise AssertionError(f"read {path}")
 
     monkeypatch.setattr(ahmsa.cli, "read_pgm", unread)
-    cfg = write_config(tmp_path, {"model.h_flow": 7, "model.w_flow": 7,
-                                  "model.patch_size": 7, "model.n_layers": 1,
-                                  "model.blocks_per_layer": [1]})
+    cfg = write_config(tmp_path, {"model.h_flow": 7, "model.blocks_per_layer": [1]})
     extra = ["--extract"] if command == "loso" else []
     assert run_cli(command, "--manifest", str(dataset / "manifest.csv"), "--out-dir",
                    str(tmp_path / "out"), "--config", str(cfg), *extra) == 2
     err = capsys.readouterr().err
     assert "model.h_flow must be even" in err and "got 7" in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key", ["model.w_flow", "model.patch_size", "model.n_layers",
+                                 "model.n_classes"])
+@pytest.mark.parametrize("command", ["extract-flow", "loso"])
+def test_removed_model_keys_are_unknown_before_any_frame_is_read(dataset, tmp_path,
+                                                                 monkeypatch, capsys,
+                                                                 command, key):
+    # the patch grid fixes these, or the class list does
+    def unread(path):
+        raise AssertionError(f"read {path}")
+
+    monkeypatch.setattr(ahmsa.cli, "read_pgm", unread)
+    cfg = write_config(tmp_path, {key: 3})
+    extra = ["--extract"] if command == "loso" else []
+    assert run_cli(command, "--manifest", str(dataset / "manifest.csv"), "--out-dir",
+                   str(tmp_path / "out"), "--config", str(cfg), *extra) == 2
+    assert capsys.readouterr().err == f"config error: unknown config keys: {key}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_layers_flag_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("loso", "--manifest", "m.csv", "--extract", "--layers", "3")
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --layers 3" in capsys.readouterr().err
+
+
+def test_blocks_flag_sets_depth_and_patch_size():
+    args = ahmsa.cli.build_parser().parse_args(["loso", "--manifest", "m.csv",
+                                                "--blocks", "1,3"])
+    config = build_run_config(None, ahmsa.cli._collect_overrides(args)).model
+    assert (config.n_layers, config.patch_size) == (2, 14)
+    trace = []
+    forward(np.zeros((1, 28, 28, 3), np.float32), init_model(config, seed=0), trace)
+    assert trace == [(1, 3, 28, 28), (1, 96, 2, 2), (1, 96, 1, 1), (1, 3)]
+
+
+def test_blocks_flag_deeper_than_the_input_names_h_flow(capsys):
+    # four levels need a patch grid of 2^3 = 8, which 28 px cannot hold
+    assert run_cli("loso", "--manifest", "absent.csv", "--extract",
+                   "--blocks", "1,1,1,1") == 2
+    assert capsys.readouterr().err == (
+        "config error: model.h_flow=28 must be a multiple of the patch grid "
+        "downsample_factor^(levels-1) = 8 so the top level is 1x1 "
+        "(levels = 4 blocks_per_layer entries)\n")
 
 
 def test_build_run_config_reports_every_section_at_once():
@@ -1048,18 +1116,15 @@ def test_build_run_config_reports_every_section_at_once():
 
 # Smallest valid model: every integer at its least allowed value (an even
 # h_flow, for the 2x2 region composite, and so one 2 px patch).
-_LEAST_MODEL = {"model.h_flow": 2, "model.w_flow": 2, "model.patch_size": 2,
-                "model.embed_channels": 1, "model.heads": 1, "model.n_layers": 1,
+_LEAST_MODEL = {"model.h_flow": 2, "model.embed_channels": 1, "model.heads": 1,
                 "model.downsample_factor": 1, "model.blocks_per_layer": [1],
-                "model.n_classes": 2, "model.channel_reduction": 1,
-                "model.ffn_expansion": 1}
+                "model.channel_reduction": 1, "model.ffn_expansion": 1}
 _TINY = 5e-324  # the least positive float
 # (key, a value just past its rule, the first value within it)
 _BOUNDARIES = [
-    *((key, 0, _LEAST_MODEL[key]) for key in _LEAST_MODEL if key not in (
-        "model.blocks_per_layer", "model.n_classes")),
+    *((key, 0, _LEAST_MODEL[key]) for key in _LEAST_MODEL
+      if key != "model.blocks_per_layer"),
     ("model.blocks_per_layer", [0], [1]),
-    ("model.n_classes", 1, 2),
     ("train.epochs", 0, 1),
     ("train.learning_rate", -_TINY, 0.0),
     ("train.batch_size", 0, 1),

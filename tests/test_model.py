@@ -15,7 +15,6 @@ from ahmsa.model import (
     init_model,
     load_checkpoint,
     msa_block,
-    parameter_count,
     patch_embed,
     save_checkpoint,
     tiny_config,
@@ -55,13 +54,16 @@ from reference import (
 
 def small_config():
     """Cheap config with a 4x4 entry grid, for unit-level checks."""
-    return ModelConfig(h_flow=8, w_flow=8, patch_size=2, embed_channels=12,
-                       heads=3, blocks_per_layer=(1, 1, 1), channel_reduction=4,
-                       ffn_expansion=2)
+    return ModelConfig(h_flow=8, embed_channels=12, heads=3, blocks_per_layer=(1, 1, 1),
+                       channel_reduction=4, ffn_expansion=2)
 
 
 def rand_maps(rng, b, cfg):
-    return rng.uniform(-1, 1, (b, cfg.h_flow, cfg.w_flow, 3)).astype(np.float32)
+    return rng.uniform(-1, 1, (b, cfg.h_flow, cfg.h_flow, 3)).astype(np.float32)
+
+
+def _parameter_count(config: ModelConfig) -> int:
+    return sum(t.data.size for t in init_model(config, seed=0).named_parameters().values())
 
 
 # -- config validation ----------------------------------------------------------
@@ -73,12 +75,13 @@ def test_default_config_is_valid():
 
 @pytest.mark.parametrize("overrides,fragment", [
     (dict(embed_channels=97), "divisible by heads"),
-    (dict(patch_size=5), "not divisible by patch_size"),
-    (dict(blocks_per_layer=(2, 2)), "entries"),
-    (dict(n_layers=4), "top level"),
+    (dict(downsample_factor=3), "= 9 so the top level"),
+    (dict(blocks_per_layer=(2, 2, 2, 2)), "entries"),
+    (dict(h_flow=30), "top level"),
     (dict(heads=0), "must be positive"),
     (dict(channel_reduction=5), "channel_reduction"),
-    (dict(n_layers=10 ** 12, blocks_per_layer=(1,)), "= more than 4 so the top level"),
+    # 2^1e6 is not computed: past 3 levels any grid overshoots h_flow=4
+    (dict(h_flow=4, blocks_per_layer=(1,) * 10 ** 6), "= more than 4 so the top level"),
 ])
 def test_config_validation_names_invariant(overrides, fragment):
     from dataclasses import replace
@@ -88,9 +91,21 @@ def test_config_validation_names_invariant(overrides, fragment):
 
 def test_config_validation_lists_all_problems():
     with pytest.raises(ConfigError) as err:
-        ModelConfig(embed_channels=97, patch_size=5)
+        ModelConfig(embed_channels=97, h_flow=30)
     assert "divisible by heads" in str(err.value)
-    assert "patch_size" in str(err.value)
+    assert "h_flow=30 must be a multiple of the patch grid" in str(err.value)
+
+
+@pytest.mark.parametrize("config,levels,patch", [
+    (ModelConfig(), 3, 7),
+    (ModelConfig(blocks_per_layer=(1, 3)), 2, 14),
+    (ModelConfig(blocks_per_layer=(4,)), 1, 28),
+    (ModelConfig(downsample_factor=1, blocks_per_layer=(1, 2, 1)), 3, 28),
+    (ModelConfig(h_flow=8, downsample_factor=4, blocks_per_layer=(1, 1)), 2, 2),
+])
+def test_depth_and_patch_size_follow_from_the_block_list(config, levels, patch):
+    assert (config.n_layers, config.patch_size) == (levels, patch)
+    assert config.grid_at(config.n_layers - 1) == 1
 
 
 # -- init_model ----------------------------------------------------------------------
@@ -114,14 +129,25 @@ def test_init_different_seed_differs():
 
 @pytest.mark.parametrize("config", [
     ModelConfig(), tiny_config(), small_config(),
-    ModelConfig(patch_size=14, n_layers=2, blocks_per_layer=(1, 3), n_classes=5),
+    ModelConfig(blocks_per_layer=(1, 3)),
     # every level 1x1, so no block has query/key projections
-    ModelConfig(patch_size=28, downsample_factor=1, blocks_per_layer=(1, 2, 1)),
+    ModelConfig(downsample_factor=1, blocks_per_layer=(1, 2, 1)),
 ])
-def test_parameter_count_matches_init_model(config):
-    params = init_model(config, seed=0)
-    assert parameter_count(config) == sum(
-        t.data.size for t in params.named_parameters().values())
+def test_parameter_count_matches_init_model(tmp_path, config):
+    """A checkpoint loads with one f32 per parameter ``init_model`` creates:
+    one value fewer is truncated, one more is trailing bytes."""
+    count = _parameter_count(config)
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, init_model(config, seed=0))
+    raw = path.read_bytes()
+    start = 9 + struct.unpack_from("<I", raw, 5)[0]
+    assert len(raw) - start == 4 * count
+    assert load_checkpoint(path).config == config
+    for changed, problem in ((raw[:-4], "truncated"), (raw + bytes(4), "trailing bytes")):
+        path.write_bytes(changed)
+        with pytest.raises(ValidationError,
+                           match=f"m.ckpt: {problem}: {len(changed) - start} parameter bytes"):
+            load_checkpoint(path)
 
 
 def test_init_default_shapes():
@@ -392,7 +418,7 @@ def test_forward_identical_samples_identical_rows():
     cfg = small_config()
     params = init_model(cfg, seed=14)
     rng = np.random.default_rng(14)
-    one = rng.uniform(-1, 1, (1, cfg.h_flow, cfg.w_flow, 3)).astype(np.float32)
+    one = rng.uniform(-1, 1, (1, cfg.h_flow, cfg.h_flow, 3)).astype(np.float32)
     batch = np.concatenate([one, one], axis=0)
     logits = forward(batch, params).data
     np.testing.assert_array_equal(logits[0], logits[1])
@@ -535,7 +561,7 @@ def test_checkpoint_header(tmp_path):
     save_checkpoint(path, params)
     raw = path.read_bytes()
     assert raw[:4] == b"AHMC"
-    assert raw[4] == 2
+    assert raw[4] == 3
     import json as _json
     import struct as _struct
     (n,) = _struct.unpack_from("<I", raw, 5)
@@ -563,6 +589,26 @@ def test_checkpoint_rejects_version_1(tmp_path):
     with pytest.raises(ValidationError,
                        match="v1.ckpt: unsupported checkpoint version 1"):
         load_checkpoint(tmp_path / "v1.ckpt")
+
+
+def test_checkpoint_rejects_version_2(tmp_path):
+    """Version 2 stored w_flow, patch_size, n_layers and n_classes in its config."""
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, init_model(small_config(), seed=21))
+    raw = bytearray(path.read_bytes())
+    raw[4] = 2
+    (tmp_path / "v2.ckpt").write_bytes(bytes(raw))
+    with pytest.raises(ValidationError,
+                       match="v2.ckpt: unsupported checkpoint version 2"):
+        load_checkpoint(tmp_path / "v2.ckpt")
+
+
+@pytest.mark.parametrize("key", ["w_flow", "patch_size", "n_layers", "n_classes"])
+def test_checkpoint_rejects_removed_config_keys(tmp_path, key):
+    cfg = dict(FUZZ_CONFIG, **{key: 2})
+    path = _checkpoint_with_config_block(tmp_path / "old.ckpt", json.dumps(cfg).encode())
+    with pytest.raises(ValidationError, match=f"old.ckpt: unknown config keys \\['{key}'\\]"):
+        load_checkpoint(path)
 
 
 def test_checkpoint_rejects_bad_magic(tmp_path):
@@ -614,7 +660,7 @@ def test_checkpoint_rejects_non_object_config(tmp_path, block):
 @pytest.mark.parametrize("cfg,problem", [
     ({"heads": "3"}, "heads must be an integer"),
     ({"embed_channels": 96.0}, "embed_channels must be an integer"),
-    ({"n_classes": True}, "n_classes must be an integer"),
+    ({"ffn_expansion": True}, "ffn_expansion must be an integer"),
     ({"blocks_per_layer": 2}, "blocks_per_layer must be a list of integers"),
     ({"blocks_per_layer": [2, "2", 8]}, "blocks_per_layer must be a list of integers"),
 ])
@@ -660,11 +706,9 @@ def test_checkpoint_rejects_deeply_nested_config(tmp_path):
 
 
 # Any file content yields a model or an AhmsaError, never another exception.
-# The smallest valid network: 182 parameters, 728 payload bytes.
-FUZZ_CONFIG = {"h_flow": 4, "w_flow": 4, "patch_size": 2, "embed_channels": 2,
-               "heads": 1, "n_layers": 2, "downsample_factor": 2,
-               "blocks_per_layer": [1, 1], "n_classes": 2, "channel_reduction": 1,
-               "ffn_expansion": 1}
+# A small valid network: two levels of 2 px patches, 185 parameters.
+FUZZ_CONFIG = {"h_flow": 4, "embed_channels": 2, "heads": 1, "downsample_factor": 2,
+               "blocks_per_layer": [1, 1], "channel_reduction": 1, "ffn_expansion": 1}
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
     lambda inner: st.lists(inner, max_size=3)
@@ -681,7 +725,7 @@ def _checkpoint_like(draw):
         cfg[draw(st.sampled_from(sorted(cfg) + ["bogus"]))] = draw(JSON_VALUES)
     block = json.dumps(cfg).encode()
     cfg_len = len(block) + draw(st.sampled_from([0, 0, 0, -1, 5, 1 << 31]))
-    n = 4 * parameter_count(ModelConfig(**FUZZ_CONFIG))
+    n = 4 * _parameter_count(ModelConfig(**FUZZ_CONFIG))
     kind = draw(st.sampled_from(["zeros", "random", "random", "cut", "long"]))
     if kind == "zeros":
         payload = bytes(n)
@@ -705,7 +749,7 @@ def test_load_checkpoint_arbitrary_bytes(tmp_path, raw):
     except AhmsaError:
         return
     named = params.named_parameters()
-    assert sum(t.data.size for t in named.values()) == parameter_count(params.config)
+    assert sum(t.data.size for t in named.values()) == _parameter_count(params.config)
     assert all(np.isfinite(t.data).all() for t in named.values())
 
 

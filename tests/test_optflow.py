@@ -593,7 +593,10 @@ def float_tolerance_report(work_dir, reference=None, candidate=None) -> dict[str
 
 
 def test_float32_solver_stays_within_its_pinned_tolerance(tmp_path):
-    report = float_tolerance_report(tmp_path)
+    # at a fixed count: solves ~1e-9 px apart may stop a warp at different
+    # iterations, which would measure where they stop, not their rounding
+    fixed = {"STOP_EPSILON": 0.0}
+    report = float_tolerance_report(tmp_path, {**fixed, "SOLVER_DTYPE": np.float64}, fixed)
     assert report["epe_median"] <= FLOAT32_EPE_MEDIAN_PX, report
     assert report["epe_max"] <= FLOAT32_EPE_MAX_PX, report
     assert report["composite_max"] <= FLOAT32_COMPOSITE_MAX, report

@@ -25,15 +25,14 @@ from reference import reference_train_fold
 
 
 def small_model():
-    return ModelConfig(h_flow=8, w_flow=8, patch_size=2, embed_channels=12,
-                       heads=3, blocks_per_layer=(1, 1, 1), channel_reduction=4,
-                       ffn_expansion=2)
+    return ModelConfig(h_flow=8, embed_channels=12, heads=3, blocks_per_layer=(1, 1, 1),
+                       channel_reduction=4, ffn_expansion=2)
 
 
 def toy_task(rng, n_per_class=4, cfg=None):
     """Linearly separable toy maps: class mean pattern + noise."""
     cfg = cfg or small_model()
-    patterns = rng.standard_normal((3, cfg.h_flow, cfg.w_flow, 3))
+    patterns = rng.standard_normal((3, cfg.h_flow, cfg.h_flow, 3))
     maps, labels = [], []
     for c in range(3):
         for _ in range(n_per_class):
