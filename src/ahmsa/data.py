@@ -123,13 +123,9 @@ def load_manifest(path, check_paths: bool = True) -> DatasetManifest:
                 "(paths containing commas are not supported)"
             )
             continue
-        (db, subject, sample_id, onset, apex,
-         lx_eye, ly_eye, rx_eye, ry_eye, nx, ny,
-         lx_lip, ly_lip, rx_lip, ry_lip, emotion) = (p.strip() for p in parts)
+        db, subject, sample_id, onset, apex, *xy, emotion = (p.strip() for p in parts)
         try:
-            coords = [int(v) for v in
-                      (lx_eye, ly_eye, rx_eye, ry_eye, nx, ny,
-                       lx_lip, ly_lip, rx_lip, ry_lip)]
+            xy = [int(v) for v in xy]
         except ValueError:
             problems.append(f"line {lineno}: landmark coordinates must be integers")
             continue
@@ -165,17 +161,11 @@ def load_manifest(path, check_paths: bool = True) -> DatasetManifest:
                     problems.append(
                         f"line {lineno} (sample {sample_id}): {role} image missing: {p}"
                     )
-        landmarks = LandmarkSet(
-            left_eye=(coords[0], coords[1]),
-            right_eye=(coords[2], coords[3]),
-            nose=(coords[4], coords[5]),
-            left_lip=(coords[6], coords[7]),
-            right_lip=(coords[8], coords[9]),
-        )
         samples.append(Sample(
             database_id=db, subject_id=subject, sample_id=sample_id,
             onset_path=onset_path, apex_path=apex_path,
-            landmarks=landmarks, emotion_raw=emotion, class_id=class_id,
+            landmarks=LandmarkSet(*zip(xy[0::2], xy[1::2])),
+            emotion_raw=emotion, class_id=class_id,
         ))
     if problems:
         raise ValidationError(f"{path}: " + "; ".join(problems))
@@ -240,23 +230,9 @@ class ConfusionMatrix:
     def total(self) -> int:
         return int(self.counts.sum())
 
-    def tp(self, c: int) -> int:
-        return int(self.counts[c, c])
-
-    def fp(self, c: int) -> int:
-        return int(self.counts[:, c].sum() - self.counts[c, c])
-
-    def fn(self, c: int) -> int:
-        return int(self.counts[c, :].sum() - self.counts[c, c])
-
-    def support(self, c: int) -> int:
-        return int(self.counts[c, :].sum())
-
     def per_class_accuracy(self) -> list[float]:
-        return [
-            self.tp(c) / self.support(c) if self.support(c) else 0.0
-            for c in range(self.n_classes)
-        ]
+        return [int(tp) / int(n) if n else 0.0
+                for tp, n in zip(np.diag(self.counts), self.counts.sum(axis=1))]
 
     def merged(self, other: "ConfusionMatrix") -> "ConfusionMatrix":
         if other.n_classes != self.n_classes:
@@ -277,15 +253,16 @@ def uf1(matrix: ConfusionMatrix) -> float:
     A class with TP = FP = FN = 0 contributes an F1 of 0, with a warning.
     """
     scores = []
-    for c in range(matrix.n_classes):
-        denom = 2 * matrix.tp(c) + matrix.fp(c) + matrix.fn(c)
+    # 2*TP + FP + FN is the class's row sum plus its column sum
+    denoms = matrix.counts.sum(axis=1) + matrix.counts.sum(axis=0)
+    for c, (tp, denom) in enumerate(zip(np.diag(matrix.counts), denoms)):
         if denom == 0:
             warnings.warn(
                 f"class {c} has no TP/FP/FN; defining its F1 as 0", stacklevel=2
             )
             scores.append(0.0)
         else:
-            scores.append(2 * matrix.tp(c) / denom)
+            scores.append(2 * int(tp) / int(denom))
     return float(np.mean(scores))
 
 
@@ -295,14 +272,13 @@ def uar(matrix: ConfusionMatrix) -> float:
     Classes with no samples are excluded from the mean, with a warning.
     """
     recalls = []
-    for c in range(matrix.n_classes):
-        n_c = matrix.support(c)
+    for c, (tp, n_c) in enumerate(zip(np.diag(matrix.counts), matrix.counts.sum(axis=1))):
         if n_c == 0:
             warnings.warn(
                 f"class {c} has no samples; excluding it from UAR", stacklevel=2
             )
             continue
-        recalls.append(matrix.tp(c) / n_c)
+        recalls.append(int(tp) / int(n_c))
     if not recalls:
         raise ValidationError("UAR undefined: every class is empty")
     return float(np.mean(recalls))
@@ -426,16 +402,9 @@ def gen_synthetic(out_dir, seed: int = 42, n_subjects: int = 6,
             apex_name = f"{sample_id}_apex.pgm"
             write_pgm(images_dir / onset_name, onset)
             write_pgm(images_dir / apex_name, apex)
-            lm = landmarks
-            rows.append(
-                f"synthetic,{subject},{sample_id},"
-                f"images/{onset_name},images/{apex_name},"
-                f"{lm.left_eye[0]},{lm.left_eye[1]},"
-                f"{lm.right_eye[0]},{lm.right_eye[1]},"
-                f"{lm.nose[0]},{lm.nose[1]},"
-                f"{lm.left_lip[0]},{lm.left_lip[1]},"
-                f"{lm.right_lip[0]},{lm.right_lip[1]},{emotion}"
-            )
+            xy = ",".join(f"{x},{y}" for _, (x, y) in landmarks.items())
+            rows.append(f"synthetic,{subject},{sample_id},images/{onset_name},"
+                        f"images/{apex_name},{xy},{emotion}")
 
     manifest_path = out_dir / "manifest.csv"
     with replacing(manifest_path) as partial, open(partial, "w", encoding="utf-8") as f:

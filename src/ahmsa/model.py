@@ -28,6 +28,7 @@ from .files import replacing
 from .tensor import (
     LayerNormParams,
     Tensor,
+    _accumulate,
     _make,
     _normalize,
     _normalize_grads,
@@ -112,7 +113,8 @@ class ModelConfig:
 @dataclass
 class BlockParams:
     """One attention block: three pre-norms plus its conv weights (on a 1x1
-    grid no query/key, as a softmax over one position is 1 whatever they are)."""
+    grid no query/key, as a softmax over one position is 1 whatever they are).
+    The field order is the checkpoint's and ``msa_block``'s gradient order."""
 
     ln_ca: LayerNormParams
     ca_w1: Tensor
@@ -157,45 +159,30 @@ class ModelParams:
     head_b: Tensor
 
     def named_parameters(self) -> dict[str, Tensor]:
-        """Flat name -> tensor map in the canonical serialization order."""
-        out: dict[str, Tensor] = {
-            "patch_embed.weight": self.patch_w,
-            "patch_embed.bias": self.patch_b,
-        }
+        """Flat name -> tensor map in the serialization order: the patch embed,
+        each level's blocks, the transitions, the head, each in field order."""
+        out = {"patch_w": self.patch_w, "patch_b": self.patch_b}
         for li, blocks in enumerate(self.levels):
             for bi, blk in enumerate(blocks):
-                prefix = f"level{li}.block{bi}"
-                out[f"{prefix}.ln_ca.gamma"] = blk.ln_ca.gamma
-                out[f"{prefix}.ln_ca.beta"] = blk.ln_ca.beta
-                out[f"{prefix}.ca.w1"] = blk.ca_w1
-                out[f"{prefix}.ca.b1"] = blk.ca_b1
-                out[f"{prefix}.ca.w2"] = blk.ca_w2
-                out[f"{prefix}.ca.b2"] = blk.ca_b2
-                out[f"{prefix}.ln_sa.gamma"] = blk.ln_sa.gamma
-                out[f"{prefix}.ln_sa.beta"] = blk.ln_sa.beta
-                if blk.q_w is not None:
-                    out[f"{prefix}.sa.q_w"] = blk.q_w
-                    out[f"{prefix}.sa.q_b"] = blk.q_b
-                    out[f"{prefix}.sa.k_w"] = blk.k_w
-                    out[f"{prefix}.sa.k_b"] = blk.k_b
-                out[f"{prefix}.sa.v_w"] = blk.v_w
-                out[f"{prefix}.sa.v_b"] = blk.v_b
-                out[f"{prefix}.sa.o_w"] = blk.o_w
-                out[f"{prefix}.sa.o_b"] = blk.o_b
-                out[f"{prefix}.ln_ff.gamma"] = blk.ln_ff.gamma
-                out[f"{prefix}.ln_ff.beta"] = blk.ln_ff.beta
-                out[f"{prefix}.ff.w1"] = blk.ff_w1
-                out[f"{prefix}.ff.b1"] = blk.ff_b1
-                out[f"{prefix}.ff.w2"] = blk.ff_w2
-                out[f"{prefix}.ff.b2"] = blk.ff_b2
+                out |= _tensors(blk, f"level{li}.block{bi}.")
         for ti, tr in enumerate(self.transitions):
-            out[f"transition{ti}.conv.weight"] = tr.conv_w
-            out[f"transition{ti}.conv.bias"] = tr.conv_b
-            out[f"transition{ti}.ln.gamma"] = tr.ln.gamma
-            out[f"transition{ti}.ln.beta"] = tr.ln.beta
-        out["head.weight"] = self.head_w
-        out["head.bias"] = self.head_b
-        return out
+            out |= _tensors(tr, f"transition{ti}.")
+        return out | {"head_w": self.head_w, "head_b": self.head_b}
+
+
+def _tensors(part, prefix: str = "") -> dict[str, Tensor]:
+    """``part``'s tensors in field order, keyed by ``prefix`` + field name: a
+    layer norm as its gamma then its beta, and no entry for an absent tensor
+    (the query/key of a 1x1 block)."""
+    out = {}
+    for f in fields(part):
+        value = getattr(part, f.name)
+        if isinstance(value, LayerNormParams):
+            out[f"{prefix}{f.name}.gamma"] = value.gamma
+            out[f"{prefix}{f.name}.beta"] = value.beta
+        elif isinstance(value, Tensor):
+            out[prefix + f.name] = value
+    return out
 
 
 def init_model(config: ModelConfig, seed: int, dtype=np.float32) -> ModelParams:
@@ -279,14 +266,6 @@ def patch_embed(x: Tensor, params: ModelParams) -> Tensor:
     return conv2d(x, params.patch_w, params.patch_b, stride=cfg.patch_size)
 
 
-def _accumulate(first: np.ndarray, second: np.ndarray) -> np.ndarray:
-    """``first + second`` in a buffer laid out like ``first``, as
-    ``Tensor.backward`` adds a gradient contribution to an earlier one."""
-    total = np.empty_like(first)
-    np.add(first, second, out=total)
-    return total
-
-
 def _mlp(x: np.ndarray, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor):
     """``linear(relu(linear(x, w1, b1)), w2, b2)`` on arrays: the output, and a
     backward giving fresh (input, w1, b1, w2, b2) gradients."""
@@ -340,9 +319,7 @@ def msa_block(x: Tensor, blk: BlockParams, heads: int) -> Tensor:
     x2 = x1 + o
     l3, *norm3 = _normalize(x2, blk.ln_ff, 3)
     f, ff_backward = _mlp(l3, blk.ff_w1, blk.ff_b1, blk.ff_w2, blk.ff_b2)
-    parents = (x, blk.ln_ca.gamma, blk.ln_ca.beta, *ca_mlp, blk.ln_sa.gamma,
-               blk.ln_sa.beta, *(t for pair in qkv for t in pair), blk.o_w, blk.o_b,
-               blk.ln_ff.gamma, blk.ln_ff.beta, blk.ff_w1, blk.ff_b1, blk.ff_w2, blk.ff_b2)
+    parents = (x, *_tensors(blk).values())
 
     def backward(g):
         # each residual stream takes the add's term, then the norm's

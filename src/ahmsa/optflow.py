@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -108,13 +108,7 @@ class LandmarkSet:
     right_lip: tuple[int, int]
 
     def items(self):
-        return (
-            ("left_eye", self.left_eye),
-            ("right_eye", self.right_eye),
-            ("nose", self.nose),
-            ("left_lip", self.left_lip),
-            ("right_lip", self.right_lip),
-        )
+        return tuple((f.name, getattr(self, f.name)) for f in fields(self))
 
 
 def _validate_gray_image(img: np.ndarray, name: str) -> np.ndarray:

@@ -135,9 +135,7 @@ class Tensor:
                 elif pkey in owned:
                     existing += contribution
                 else:
-                    total = np.empty_like(existing)
-                    np.add(existing, contribution, out=total)
-                    pending[pkey] = total
+                    pending[pkey] = _accumulate(existing, contribution)
                     owned.add(pkey)
 
     def _topological_order(self) -> list["Tensor"]:
@@ -198,6 +196,14 @@ def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward,
         out._fresh = fresh
         return out
     return Tensor(data, dtype=data.dtype)
+
+
+def _accumulate(first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """``first + second`` in a new buffer laid out like ``first``: how the
+    tape adds a second gradient contribution to a first it may not write."""
+    total = np.empty_like(first)
+    np.add(first, second, out=total)
+    return total
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:

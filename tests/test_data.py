@@ -82,6 +82,19 @@ def test_load_manifest_three_rows(tmp_path):
     assert manifest.samples[2].class_id == 0
 
 
+def test_load_manifest_maps_each_coordinate_column_to_its_landmark(tmp_path):
+    """Each coordinate column lands in the landmark field and axis its header
+    names, which a gen_synthetic -> load_manifest round trip cannot show."""
+    assert MANIFEST_HEADER.split(",")[5:15] == [
+        "lx_eye", "ly_eye", "rx_eye", "ry_eye", "nx", "ny",
+        "lx_lip", "ly_lip", "rx_lip", "ry_lip"]
+    path = _write(tmp_path, ["dbA,s01,a,o.pgm,a.pgm,11,12,21,22,31,32,41,42,51,52,happy"])
+    lm = load_manifest(path, check_paths=False).samples[0].landmarks
+    assert lm.left_eye == (11, 12) and lm.right_eye == (21, 22)
+    assert lm.nose == (31, 32)
+    assert lm.left_lip == (41, 42) and lm.right_lip == (51, 52)
+
+
 def test_load_manifest_unknown_emotion_names_line_and_label(tmp_path):
     rows = [_row(sample="a"), _row(sample="b", emotion="bored")]
     with pytest.raises(ValidationError, match=r"line 3.*bored"):
@@ -312,6 +325,11 @@ def test_uf1_hand_matrix():
 def test_uar_hand_matrix():
     cm = ConfusionMatrix(n_classes=2, counts=[[2, 0], [1, 1]])
     assert abs(uar(cm) - 0.75) < 1e-12
+
+
+def test_per_class_accuracy_hand_matrix():
+    cm = ConfusionMatrix(counts=[[2, 0, 0], [1, 3, 0], [0, 0, 0]])
+    assert cm.per_class_accuracy() == [1.0, 0.75, 0.0]
 
 
 def test_uf1_all_predictions_one_class():

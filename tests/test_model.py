@@ -111,6 +111,26 @@ def test_depth_and_patch_size_follow_from_the_block_list(config, levels, patch):
 # -- init_model ----------------------------------------------------------------------
 
 
+def test_named_parameters_follow_the_build_order():
+    """named_parameters (the checkpoint and Adam order) lists the tensors in
+    the order the builder asks for them, keyed by their field names."""
+    built = []
+
+    def tensor(shape, init, kept):
+        built.append(Tensor(np.zeros(shape, np.float32), requires_grad=True) if kept else None)
+        return built[-1]
+
+    named = model_mod._build_model(ModelConfig(), tensor).named_parameters()
+    assert list(map(id, named.values())) == [id(t) for t in built if t is not None]
+    assert len(named) == 244
+    assert list(named)[:4] == ["patch_w", "patch_b", "level0.block0.ln_ca.gamma",
+                               "level0.block0.ln_ca.beta"]
+    assert "level2.block0.q_w" not in named and "level1.block1.q_w" in named
+    assert list(named)[-6:] == ["transition1.conv_w", "transition1.conv_b",
+                                "transition1.ln.gamma", "transition1.ln.beta",
+                                "head_w", "head_b"]
+
+
 def test_init_same_seed_bit_identical():
     a = init_model(ModelConfig(), seed=5)
     b = init_model(ModelConfig(), seed=5)
@@ -695,7 +715,7 @@ def test_checkpoint_rejects_non_finite_parameters(tmp_path, bad):
     params.head_b.data[1] = bad
     path = tmp_path / "nf.ckpt"
     save_checkpoint(path, params)
-    with pytest.raises(ValidationError, match="nf.ckpt: non-finite.*head.bias"):
+    with pytest.raises(ValidationError, match="nf.ckpt: non-finite.*head_b"):
         load_checkpoint(path)
 
 
@@ -848,8 +868,8 @@ def test_single_position_shortcuts_bit_exact(part):
     cfg = ModelConfig()
     params = init_model(cfg, seed=24)
     blk = params.levels[2][0]
-    block_params = {name: t for name, t in params.named_parameters().items()
-                    if name.startswith("level2.block0.")}
+    block_params = model_mod._tensors(blk)
+    assert len(block_params) == 18  # no query/key on a 1x1 grid
     rng = np.random.default_rng(24)
     x0 = rng.standard_normal((5, 1, 1, cfg.embed_channels)).astype(np.float32)
     g = rng.standard_normal(x0.shape).astype(np.float32)
@@ -909,8 +929,8 @@ def test_fused_block_bit_exact(level, dtype, batch, passes):
     cfg = ModelConfig() if dtype == np.float32 else tiny_config()
     params = init_model(cfg, seed=25, dtype=dtype)
     blk = params.levels[level][0]
-    named = {name: t for name, t in params.named_parameters().items()
-             if name.startswith(f"level{level}.block0.")}
+    named = model_mod._tensors(blk)
+    assert len(named) == (22 if cfg.grid_at(level) > 1 else 18)
     rng = np.random.default_rng(batch)
     side = cfg.grid_at(level)
     x0 = rng.standard_normal((batch, cfg.embed_channels, side, side)).astype(dtype)
