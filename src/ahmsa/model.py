@@ -32,7 +32,6 @@ from .tensor import (
     _make,
     _normalize,
     _normalize_grads,
-    _pool_reshape,
     _project,
     _project_grads,
     _sigmoid,
@@ -269,13 +268,14 @@ def patch_embed(x: Tensor, params: ModelParams) -> Tensor:
 def _mlp(x: np.ndarray, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor):
     """``linear(relu(linear(x, w1, b1)), w2, b2)`` on arrays: the output, and a
     backward giving fresh (input, w1, b1, w2, b2) gradients."""
-    h, rows, k1 = _project(x, w1.data, b1.data)
-    hr = np.maximum(h, 0.0)
+    hr, rows, k1 = _project(x, w1.data, b1.data)
+    np.maximum(hr, 0.0, out=hr)
     out, rows_hr, k2 = _project(hr, w2.data, b2.data)
 
     def backward(g):
         ghr, gw2, gb2 = _project_grads(g, rows_hr, k2, hr.shape, w2.shape)
-        gx, gw1, gb1 = _project_grads(ghr * (h > 0.0), rows, k1, x.shape, w1.shape)
+        ghr *= hr > 0.0
+        gx, gw1, gb1 = _project_grads(ghr, rows, k1, x.shape, w1.shape)
         return gx, gw1, gb1, gw2, gb2
 
     return out, backward
@@ -298,10 +298,15 @@ def msa_block(x: Tensor, blk: BlockParams, heads: int) -> Tensor:
     ca_mlp = (blk.ca_w1, blk.ca_b1, blk.ca_w2, blk.ca_b2)
     x0 = np.transpose(x.data, (0, 2, 3, 1))  # [B,H,W,C]
     l1, *norm1 = _normalize(x0, blk.ln_ca, 3)
-    # [B,1,N,C] pooled to [B,1,1,C]: one window per channel over all N positions
-    pools = [_pool_reshape(l1.reshape(b, 1, n, c), 1, c, mode) for mode in ("avg", "max")]
-    mlps = [_mlp(pooled, *ca_mlp) for pooled, _ in pools]
-    gate = _sigmoid(mlps[0][0] + mlps[1][0])
+    l1_rows = l1.reshape(b, n, c)  # [B,N,C]: the pools reduce over the N positions
+    if n == 1:
+        # one position: both pools are l1's bytes, so one MLP pass serves both
+        m, ca_backward = _mlp(l1_rows[:, 0], *ca_mlp)
+        gate = _sigmoid(m + m)
+    else:
+        mlps = [_mlp(l1_rows.mean(axis=1), *ca_mlp), _mlp(l1_rows.max(axis=1), *ca_mlp)]
+        gate = _sigmoid(mlps[0][0] + mlps[1][0])
+    gate = gate.reshape(b, 1, 1, c)
     x1 = x0 + l1 * gate
     l2, *norm2 = _normalize(x1, blk.ln_sa, 3)
     attends = blk.q_w is not None
@@ -345,15 +350,26 @@ def msa_block(x: Tensor, blk: BlockParams, heads: int) -> Tensor:
         g1 = _accumulate(g2, dx1)
         # l1 takes the gate product's term, then the avg branch's, the max branch's
         gs = _unbroadcast(g1 * l1, gate.shape) * gate * (1.0 - gate)
-        gl1, ca_grads = g1 * gate, []
-        for (_, mlp_backward), (_, pool_backward) in zip(mlps, pools):
-            gpooled, *grads = mlp_backward(gs)
-            gl1 = _accumulate(gl1, pool_backward(gpooled).reshape(l1.shape))
-            ca_grads.append(grads)
+        gl1 = g1 * gate
+        if n == 1:
+            gpooled, *grads = ca_backward(gs)
+            gpooled = gpooled.reshape(gate.shape)
+            gl1 += gpooled
+            gl1 += gpooled
+            ca_grads = [a + a for a in grads]
+        else:
+            (_, avg_backward), (_, max_backward) = mlps
+            gavg, *avg_grads = avg_backward(gs)
+            gl1 += (gavg / n).reshape(gate.shape)
+            gmax, *max_grads = max_backward(gs)
+            # the first max of each channel takes the gradient
+            scatter = np.zeros_like(l1_rows)
+            np.put_along_axis(scatter, l1_rows.argmax(axis=1)[:, None], gmax[:, None], axis=1)
+            gl1 += scatter.reshape(l1.shape)
+            ca_grads = [a + m for a, m in zip(avg_grads, max_grads)]
         dx0, *ln1_grads = _normalize_grads(gl1, *norm1, 3)
         return (np.transpose(_accumulate(g1, dx0), (0, 3, 1, 2)), *ln1_grads,
-                *(a + m for a, m in zip(*ca_grads)), *ln2_grads, *sa_grads, gw_o, gb_o,
-                *ln3_grads, *ff_grads)
+                *ca_grads, *ln2_grads, *sa_grads, gw_o, gb_o, *ln3_grads, *ff_grads)
 
     return _make(np.transpose(x2 + f, (0, 3, 1, 2)), parents, backward, fresh=True)
 

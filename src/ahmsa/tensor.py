@@ -300,8 +300,22 @@ def sigmoid(x: Tensor) -> Tensor:
 
 
 def _softmax(x: np.ndarray, axis: int) -> np.ndarray:
-    """``softmax``'s forward on arrays."""
-    e = np.exp(x - x.max(axis=axis, keepdims=True))
+    """``softmax``'s forward on arrays.
+
+    The max is taken by halving: ``np.maximum`` of the two halves of the
+    axis, an odd last entry folded into the first, until one is left.  A max
+    is exact in any order, and -0.0 and +0.0 give the same ``exp(x - m)``, so
+    the bytes are those of ``x.max``, without its slow reduce over a short
+    axis.
+    """
+    m = np.moveaxis(x, axis, -1)
+    while m.shape[-1] > 1:
+        half = m.shape[-1] // 2
+        top = np.maximum(m[..., :half], m[..., half:2 * half])
+        if m.shape[-1] % 2:
+            np.maximum(top[..., :1], m[..., -1:], out=top[..., :1])
+        m = top
+    e = np.exp(x - np.moveaxis(m, -1, axis))
     return e / e.sum(axis=axis, keepdims=True)
 
 

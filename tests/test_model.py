@@ -941,6 +941,26 @@ def test_fused_block_bit_exact(level, dtype, batch, passes):
     assert all(grad is not None for grad in fused[3].values())
 
 
+@pytest.mark.parametrize("level", [0, 1])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_fused_block_tied_channel_maxima_bit_exact(level, dtype):
+    """Every position repeats one of three rows, so each channel's max pool
+    ties across several positions: the first of them takes the gradient, as
+    in the composed block."""
+    cfg = ModelConfig() if dtype == np.float32 else tiny_config()
+    params = init_model(cfg, seed=25, dtype=dtype)
+    blk = params.levels[level][0]
+    named = model_mod._tensors(blk)
+    side = cfg.grid_at(level)
+    rng = np.random.default_rng(level)
+    rows = rng.standard_normal((13, cfg.embed_channels, 3)).astype(dtype)
+    pattern = np.arange(side * side) * 2 % 3  # 0, 2, 1, 0, 2, 1, ...
+    x0 = rows[:, :, pattern].reshape(13, cfg.embed_channels, side, side)
+    g = rng.standard_normal(x0.shape).astype(dtype)
+    fused = _block_outputs(msa_block, x0, blk, named, cfg.heads, g, 1)
+    assert fused == _block_outputs(composed_block, x0, blk, named, cfg.heads, g, 1)
+
+
 def _network_outputs(params, maps, labels):
     """Logits, no_grad logits, input gradient and every parameter gradient."""
     named = params.named_parameters()

@@ -392,6 +392,29 @@ def test_softmax_rows_are_distributions(seed):
     np.testing.assert_allclose(out.data.sum(axis=1), 1.0, atol=1e-6)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 16])
+def test_softmax_halving_max_matches_reduce_max_bit_exact(width, dtype):
+    """``_softmax`` takes the max by halving; its bytes are those of the plain
+    ``exp(x - x.max()) / sum``, with tied maxima and signed zeros in the rows,
+    over the last axis and over a middle one."""
+    from ahmsa.tensor import _softmax
+
+    rng = np.random.default_rng(width)
+    x = rng.standard_normal((5, 3, 4, width)).astype(dtype)
+    x[0] = 0.0
+    x[1] = -0.0
+    x[2] = -np.abs(x[2])
+    x[2, :, :, ::2] = -0.0  # +0.0 and -0.0 tie as the max of a negative row
+    x[2, :, :, 2::4] = 0.0
+    x[3] = np.round(x[3])  # ties among small integers
+    x[4, :, :, -1] = x[4].max(axis=-1)  # the odd last column ties the max
+    for axis, y in ((-1, x), (1, np.swapaxes(x, 1, 3))):
+        e = np.exp(y - y.max(axis=axis, keepdims=True))
+        ref = e / e.sum(axis=axis, keepdims=True)
+        assert _softmax(y, axis).tobytes() == ref.tobytes(), axis
+
+
 def test_softmax_invalid_axis():
     with pytest.raises(DimensionError):
         softmax(Tensor(np.zeros((2, 2))), axis=2)
