@@ -1,5 +1,6 @@
 """Straightforward implementations that tests compare the fast paths against."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -22,11 +23,29 @@ from ahmsa.tensor import (
 
 
 def per_tensor_adam_step(params, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
-    """Adam step ``t`` applied one parameter at a time.
+    """Adam step ``t`` applied one parameter at a time, with the bias
+    corrections folded into the step size and epsilon (Kingma & Ba 2015,
+    section 2), as ``adam_step`` applies them.
 
     ``m`` and ``v`` map parameter names to same-shape moment arrays, updated
     in place together with every ``params[name].data``.
     """
+    root_bc2 = math.sqrt(1.0 - beta2 ** t)
+    step_size = lr * root_bc2 / (1.0 - beta1 ** t)
+    for name, p in params.items():
+        g = p.grad
+        m[name] *= beta1
+        m[name] += (1.0 - beta1) * g
+        v[name] *= beta2
+        v[name] += (1.0 - beta2) * g * g
+        step = m[name] / (np.sqrt(v[name]) + eps * root_bc2)
+        p.data -= np.asarray(step * step_size, dtype=p.data.dtype)
+
+
+def algorithm1_adam_step(params, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """``per_tensor_adam_step`` as Kingma & Ba's Algorithm 1 writes it: both
+    moments divided by their bias corrections.  The reference path of
+    ``fold_deviation``."""
     bc1 = 1.0 - beta1 ** t
     bc2 = 1.0 - beta2 ** t
     for name, p in params.items():
@@ -37,6 +56,30 @@ def per_tensor_adam_step(params, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
         v[name] += (1.0 - beta2) * g * g
         step = (m[name] / bc1) / (np.sqrt(v[name] / bc2) + eps)
         p.data -= np.asarray(lr * step, dtype=p.data.dtype)
+
+
+def reduce_normalize(x, params, axis):
+    """``tensor._normalize`` with numpy's mean reduce in place of the GEMV
+    means.  The reference path of ``fold_deviation``."""
+    bshape = [1] * x.ndim
+    bshape[axis] = x.shape[axis]
+    gb = params.gamma.data.reshape(bshape)
+    xhat = x - x.mean(axis=axis, keepdims=True)
+    var = np.square(xhat).mean(axis=axis, keepdims=True)
+    inv = 1.0 / np.sqrt(var + np.asarray(params.epsilon, dtype=x.dtype))
+    xhat *= inv
+    return xhat * gb + params.beta.data.reshape(bshape), xhat, inv, gb
+
+
+def reduce_normalize_grads(g, xhat, inv, gb, axis):
+    """``tensor._normalize_grads`` with numpy's mean reduce."""
+    reduce_axes = tuple(i for i in range(g.ndim) if i != axis)
+    dxhat = g * gb
+    dx = inv * (
+        dxhat - dxhat.mean(axis=axis, keepdims=True)
+        - xhat * (dxhat * xhat).mean(axis=axis, keepdims=True)
+    )
+    return dx, (g * xhat).sum(axis=reduce_axes), g.sum(axis=reduce_axes)
 
 
 def with_stand_in_query_key(blk):
@@ -138,13 +181,14 @@ def composed_block(x, blk, heads):
     return transpose(x, (0, 3, 1, 2))
 
 
-def reference_train_fold(maps, labels, model_config, train_config):
-    """train_fold's loop with the per-tensor Adam step.  Returns the
-    parameters and loss history."""
+def reference_train_fold(maps, labels, model_config, train_config,
+                         dtype=np.float32, adam_step=per_tensor_adam_step):
+    """train_fold's loop at ``dtype`` with a per-tensor Adam step.  Returns
+    the parameters and loss history."""
     from ahmsa.model import forward, init_model
     from ahmsa.tensor import cross_entropy, zero_grads
 
-    params = init_model(model_config, seed=train_config.seed)
+    params = init_model(model_config, seed=train_config.seed, dtype=dtype)
     named = params.named_parameters()
     m = {n: np.zeros_like(t.data) for n, t in named.items()}
     v = {n: np.zeros_like(t.data) for n, t in named.items()}
@@ -158,8 +202,59 @@ def reference_train_fold(maps, labels, model_config, train_config):
             loss = cross_entropy(forward(maps[idx], params), labels[idx])
             loss.backward()
             step += 1
-            per_tensor_adam_step(named, m, v, step, lr=train_config.learning_rate)
+            adam_step(named, m, v, step, lr=train_config.learning_rate)
             zero_grads(named)
             total += float(loss.data) * len(idx)
         history.append(total / len(labels))
     return params, history
+
+
+def fold_deviation(dtype, monkeypatch):
+    """How far training strays from the reference path at ``dtype``.
+
+    The reference path is the program with each admitted fast path swapped
+    back for the expression it replaced: numpy's mean reduce in every layer
+    norm (the names ``model`` and ``tensor`` bind) and Algorithm 1's Adam.
+    Both train one fixed split: 45 ``standard_normal`` maps (seed 27), the
+    default model, batch 32, lr 1e-4, 8 epochs, seed 3; float32 runs
+    ``train_fold`` itself, float64 the same loop in ``reference_train_fold``.
+    Returns the max relative deviation of the per-epoch loss history, the max
+    absolute deviation of the logits of 9 held-out maps, whether their argmax
+    agrees, and the final parameter drift (max absolute difference).
+    """
+    from ahmsa import model, tensor
+    from ahmsa.model import ModelConfig, forward
+    from ahmsa.train import TrainConfig, train_fold
+
+    rng = np.random.default_rng(27)
+    maps = rng.standard_normal((54, 28, 28, 3)).astype(dtype)
+    labels = rng.integers(0, 3, 54)
+    train, held_out = slice(0, 45), slice(45, 54)
+    args = (maps[train], labels[train], ModelConfig(),
+            TrainConfig(epochs=8, learning_rate=1e-4, batch_size=32, seed=3))
+
+    def logits(params):
+        with tensor.no_grad():
+            return forward(maps[held_out], params).data
+
+    if dtype == np.float32:
+        params, history = train_fold(*args)
+    else:
+        params, history = reference_train_fold(*args, dtype=dtype)
+    out = logits(params)
+    with monkeypatch.context() as patch:
+        for module in (model, tensor):
+            patch.setattr(module, "_normalize", reduce_normalize)
+            patch.setattr(module, "_normalize_grads", reduce_normalize_grads)
+        ref, ref_history = reference_train_fold(*args, dtype=dtype,
+                                                adam_step=algorithm1_adam_step)
+        ref_out = logits(ref)
+    ref_named = ref.named_parameters()
+    history, ref_history = np.array(history), np.array(ref_history)
+    return {
+        "loss": float(np.max(np.abs(history - ref_history) / np.abs(ref_history))),
+        "logits": float(np.abs(out - ref_out).max()),
+        "same_argmax": bool((out.argmax(axis=1) == ref_out.argmax(axis=1)).all()),
+        "drift": max(float(np.abs(t.data - ref_named[name].data).max())
+                     for name, t in params.named_parameters().items()),
+    }

@@ -21,7 +21,7 @@ from ahmsa.train import (
 )
 from ahmsa.workers import openblas_thread_controls
 
-from reference import reference_train_fold
+from reference import fold_deviation, reference_train_fold
 
 
 def small_model():
@@ -144,6 +144,20 @@ def test_train_fold_matches_per_tensor_adam_loop():
     named = ref.named_parameters()
     for name, t in params.named_parameters().items():
         assert t.data.tobytes() == named[name].data.tobytes(), name
+
+
+# Bounds stated before measuring, one set per dtype (ROADMAP item 7).
+@pytest.mark.parametrize("dtype,loss_bound,logit_bound",
+                         [(np.float32, 5e-4, 2e-3), (np.float64, 1e-10, 1e-10)])
+def test_fast_paths_stay_within_their_pinned_tolerance(monkeypatch, dtype, loss_bound,
+                                                       logit_bound):
+    """The GEMV layer-norm means and Adam's folded bias correction keep a
+    trained fold within the bounds of the reference path's."""
+    deviation = fold_deviation(dtype, monkeypatch)
+    print(f"{np.dtype(dtype).name} fold deviation: {deviation}")
+    assert deviation["loss"] <= loss_bound
+    assert deviation["logits"] <= logit_bound
+    assert deviation["same_argmax"]
 
 
 def test_train_rejects_empty_split():
