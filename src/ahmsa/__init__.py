@@ -56,48 +56,3 @@ from .train import (
     run_loso,
     train_fold,
 )
-
-__all__ = [
-    "AhmsaError",
-    "CLASS_NAMES",
-    "ConfigError",
-    "ConfusionMatrix",
-    "DatasetManifest",
-    "DimensionError",
-    "FlowField",
-    "FlowOptions",
-    "LandmarkSet",
-    "MetricsReport",
-    "ModelConfig",
-    "ModelParams",
-    "Sample",
-    "Tensor",
-    "TVL1Params",
-    "TrainConfig",
-    "TrainingDivergedError",
-    "UsageError",
-    "ValidationError",
-    "compose_regions",
-    "desk_scale_config",
-    "evaluate",
-    "extract_feature_map",
-    "forward",
-    "gen_synthetic",
-    "init_model",
-    "load_checkpoint",
-    "load_manifest",
-    "loso_splits",
-    "map_emotion",
-    "no_grad",
-    "optical_strain",
-    "read_flow_map",
-    "read_pgm",
-    "run_loso",
-    "save_checkpoint",
-    "train_fold",
-    "tvl1_flow",
-    "uar",
-    "uf1",
-    "write_flow_map",
-    "write_pgm",
-]

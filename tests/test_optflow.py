@@ -738,9 +738,11 @@ def test_standardization_moments():
     rng = np.random.default_rng(2)
     fmap = np.stack([rng.standard_normal((28, 28)) * 3 + 1,
                      rng.standard_normal((28, 28)) * 0.5 - 2,
-                     np.abs(rng.standard_normal((28, 28)))], axis=2)
+                     np.abs(rng.standard_normal((28, 28))),
+                     # micro-motion scale: far above the zero-variance floor
+                     rng.standard_normal((28, 28)) * 1e-6 + 0.3], axis=2)
     out = standardize_channels(fmap)
-    for c in range(3):
+    for c in range(fmap.shape[2]):
         assert abs(out[:, :, c].mean()) < 1e-5
         assert abs(out[:, :, c].var() - 1.0) < 1e-4
 
@@ -1022,6 +1024,8 @@ def test_read_flow_map_arbitrary_bytes(tmp_path, raw):
 def test_standardize_channels_zero_variance_fallback():
     fmap = np.ones((5, 5, 3))
     fmap[:, :, 1] = np.arange(25.0).reshape(5, 5)
+    fmap[:, :, 2] += 4e-13 * (np.arange(25) % 2).reshape(5, 5)  # std 2e-13
     out = standardize_channels(fmap)
     np.testing.assert_array_equal(out[:, :, 0], 0.0)
+    np.testing.assert_array_equal(out[:, :, 2], 0.0)
     assert abs(out[:, :, 1].mean()) < 1e-12
