@@ -292,6 +292,9 @@ def msa_block(x: Tensor, blk: BlockParams, heads: int) -> Tensor:
     numpy operations of the composed sub-modules (``tests/reference.py``)
     in their order and adds each tensor's gradient contributions in the
     order the tape adds them there, so outputs and gradients keep their bytes.
+    It departs from them only where no byte can differ: the pools read the
+    normalized rows without a window copy, and on one position, where both
+    pools are that position's bytes, one MLP pass serves both.
     """
     b, c, hh, ww = x.shape
     n, d = hh * ww, c // heads
