@@ -481,11 +481,13 @@ def _mean(x: np.ndarray, axis: int) -> np.ndarray:
     along it with a 1/C column, which BLAS runs far faster than numpy's
     reduce over a short contiguous axis.  It rounds differently from
     ``x.mean``; tests pin the training deviation."""
-    rows = np.moveaxis(x, axis, -1)
-    c = rows.shape[-1]
-    col = np.full((c, 1), 1.0 / c, dtype=x.dtype)
-    means = rows.reshape(-1, c) @ col
-    return np.moveaxis(means.reshape(rows.shape[:-1] + (1,)), -1, axis)
+    axis %= x.ndim
+    c = x.shape[axis]
+    # the rows in np.moveaxis's order, whose argument checks cost more than
+    # the GEMV on a block's rows
+    rows = x.transpose([i for i in range(x.ndim) if i != axis] + [axis]).reshape(-1, c)
+    means = rows @ np.full((c, 1), 1.0 / c, dtype=x.dtype)
+    return means.reshape(x.shape[:axis] + (1,) + x.shape[axis + 1:])
 
 
 def _normalize(x: np.ndarray, params: LayerNormParams, axis: int):
