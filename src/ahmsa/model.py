@@ -293,8 +293,10 @@ def msa_block(x: Tensor, blk: BlockParams, heads: int) -> Tensor:
     in their order and adds each tensor's gradient contributions in the
     order the tape adds them there, so outputs and gradients keep their bytes.
     It departs from them only where no byte can differ: the pools read the
-    normalized rows without a window copy, and on one position, where both
-    pools are that position's bytes, one MLP pass serves both.
+    normalized rows without a window copy, the max pool's backward finds
+    each channel's first max by a reduce instead of argmax, and on one
+    position, where both pools are that position's bytes, one MLP pass
+    serves both.
     """
     b, c, hh, ww = x.shape
     n, d = hh * ww, c // heads
@@ -307,7 +309,8 @@ def msa_block(x: Tensor, blk: BlockParams, heads: int) -> Tensor:
         m, ca_backward = _mlp(l1_rows[:, 0], *ca_mlp)
         gate = _sigmoid(m + m)
     else:
-        mlps = [_mlp(l1_rows.mean(axis=1), *ca_mlp), _mlp(l1_rows.max(axis=1), *ca_mlp)]
+        pooled_max = l1_rows.max(axis=1)
+        mlps = [_mlp(l1_rows.mean(axis=1), *ca_mlp), _mlp(pooled_max, *ca_mlp)]
         gate = _sigmoid(mlps[0][0] + mlps[1][0])
     gate = gate.reshape(b, 1, 1, c)
     x1 = x0 + l1 * gate
@@ -365,9 +368,15 @@ def msa_block(x: Tensor, blk: BlockParams, heads: int) -> Tensor:
             gavg, *avg_grads = avg_backward(gs)
             gl1 += (gavg / n).reshape(gate.shape)
             gmax, *max_grads = max_backward(gs)
-            # the first max of each channel takes the gradient
-            scatter = np.zeros_like(l1_rows)
-            np.put_along_axis(scatter, l1_rows.argmax(axis=1)[:, None], gmax[:, None], axis=1)
+            # the first max of each channel takes the gradient.  Its position
+            # is the highest rank n - i among the positions i not below the
+            # max, a fast reduce over the positions where argmax's is slow
+            # (a NaN max takes position 0; its sample's gradient is all NaN)
+            rank = np.arange(n, 0, -1, dtype=np.min_scalar_type(n))[:, None]
+            first = n - (~(l1_rows < pooled_max[:, None]) * rank).max(axis=1)
+            scatter = np.zeros(l1_rows.shape, dtype=gmax.dtype)
+            scatter.reshape(-1)[(first + np.arange(0, b * n, n)[:, None]) * c
+                                + np.arange(c)] = gmax
             gl1 += scatter.reshape(l1.shape)
             ca_grads = [a + m for a, m in zip(avg_grads, max_grads)]
         dx0, *ln1_grads = _normalize_grads(gl1, *norm1, 3)

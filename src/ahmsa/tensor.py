@@ -14,6 +14,7 @@ drown the comparison).  Output dtype follows the inputs.
 
 from __future__ import annotations
 
+import functools
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -476,6 +477,14 @@ class LayerNormParams:
             raise ValidationError(f"epsilon must be positive, got {self.epsilon}")
 
 
+@functools.cache
+def _mean_column(c: int, dtype: np.dtype) -> np.ndarray:
+    """The read-only [C,1] column of 1/C that ``_mean`` multiplies by."""
+    column = np.full((c, 1), 1.0 / c, dtype=dtype)
+    column.flags.writeable = False
+    return column
+
+
 def _mean(x: np.ndarray, axis: int) -> np.ndarray:
     """The mean over ``axis`` (kept, as length 1) as one GEMV of the rows
     along it with a 1/C column, which BLAS runs far faster than numpy's
@@ -486,7 +495,7 @@ def _mean(x: np.ndarray, axis: int) -> np.ndarray:
     # the rows in np.moveaxis's order, whose argument checks cost more than
     # the GEMV on a block's rows
     rows = x.transpose([i for i in range(x.ndim) if i != axis] + [axis]).reshape(-1, c)
-    means = rows @ np.full((c, 1), 1.0 / c, dtype=x.dtype)
+    means = rows @ _mean_column(c, x.dtype)
     return means.reshape(x.shape[:axis] + (1,) + x.shape[axis + 1:])
 
 

@@ -961,6 +961,29 @@ def test_fused_block_tied_channel_maxima_bit_exact(level, dtype):
     assert fused == _block_outputs(composed_block, x0, blk, named, cfg.heads, g, 1)
 
 
+@pytest.mark.parametrize("level", [0, 1])
+def test_fused_block_nan_stays_in_its_sample(level):
+    """A NaN in one position of the last sample makes that sample's max pool
+    NaN: its input gradient is all NaN, and every other sample's keeps the
+    bytes it has without the NaN."""
+    cfg = ModelConfig()
+    blk = init_model(cfg, seed=25).levels[level][0]
+    side = cfg.grid_at(level)
+    rng = np.random.default_rng(level)
+    x0 = rng.standard_normal((3, cfg.embed_channels, side, side)).astype(np.float32)
+    g = rng.standard_normal(x0.shape).astype(np.float32)
+    grads = []
+    for poisoned in (False, True):
+        x = Tensor(x0.copy(), requires_grad=True)
+        if poisoned:
+            x.data[-1, 5, side - 1, side - 1] = np.nan
+        tsum(msa_block(x, blk, cfg.heads) * Tensor(g)).backward()
+        grads.append(x.grad)
+    clean, dirty = grads
+    assert np.isnan(dirty[-1]).all()
+    assert dirty[:-1].tobytes() == clean[:-1].tobytes()
+
+
 def _network_outputs(params, maps, labels):
     """Logits, no_grad logits, input gradient and every parameter gradient."""
     named = params.named_parameters()
