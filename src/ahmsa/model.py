@@ -29,6 +29,7 @@ from .tensor import (
     LayerNormParams,
     Tensor,
     _accumulate,
+    _first_max,
     _make,
     _normalize,
     _normalize_grads,
@@ -294,9 +295,9 @@ def msa_block(x: Tensor, blk: BlockParams, heads: int) -> Tensor:
     order the tape adds them there, so outputs and gradients keep their bytes.
     It departs from them only where no byte can differ: the pools read the
     normalized rows without a window copy, the max pool's backward finds
-    each channel's first max by a reduce instead of argmax, and on one
-    position, where both pools are that position's bytes, one MLP pass
-    serves both.
+    each channel's first max by a reduce (``_first_max``) instead of
+    argmax, and on one position, where both pools are that position's
+    bytes, one MLP pass serves both.
     """
     b, c, hh, ww = x.shape
     n, d = hh * ww, c // heads
@@ -368,15 +369,10 @@ def msa_block(x: Tensor, blk: BlockParams, heads: int) -> Tensor:
             gavg, *avg_grads = avg_backward(gs)
             gl1 += (gavg / n).reshape(gate.shape)
             gmax, *max_grads = max_backward(gs)
-            # the first max of each channel takes the gradient.  Its position
-            # is the highest rank n - i among the positions i not below the
-            # max, a fast reduce over the positions where argmax's is slow
-            # (a NaN max takes position 0; its sample's gradient is all NaN)
-            rank = np.arange(n, 0, -1, dtype=np.min_scalar_type(n))[:, None]
-            first = n - (~(l1_rows < pooled_max[:, None]) * rank).max(axis=1)
+            # the first max of each channel takes the gradient
+            first = _first_max(l1_rows, pooled_max[:, None], (1,))
             scatter = np.zeros(l1_rows.shape, dtype=gmax.dtype)
-            scatter.reshape(-1)[(first + np.arange(0, b * n, n)[:, None]) * c
-                                + np.arange(c)] = gmax
+            scatter.put((first + np.arange(0, b * n, n)[:, None]) * c + np.arange(c), gmax)
             gl1 += scatter.reshape(l1.shape)
             ca_grads = [a + m for a, m in zip(avg_grads, max_grads)]
         dx0, *ln1_grads = _normalize_grads(gl1, *norm1, 3)

@@ -548,6 +548,18 @@ def _pool_bounds(in_dim: int, out_dim: int) -> list[tuple[int, int]]:
     ]
 
 
+def _first_max(x: np.ndarray, top: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
+    """The index that ``argmax`` gives over ``axes`` of ``x`` (flattened in
+    row-major order), from ``top``, the max over them with kept dims: the
+    first position holding the max, or the first NaN.  It is the highest rank
+    ``size - i`` among the positions ``i`` that hold it, one reduce that
+    numpy runs fast where its argmax along a strided axis is slow."""
+    size = math.prod(x.shape[a] for a in axes)
+    rank = np.arange(size, 0, -1, dtype=np.min_scalar_type(size)).reshape(
+        [x.shape[a] if a in axes else 1 for a in range(x.ndim)])
+    return size - (((x == top) | np.isnan(x)) * rank).max(axis=axes)
+
+
 def _pool_reshape(x: np.ndarray, out_h: int, out_w: int, mode: str):
     """Pool [B,C,H,W] over evenly dividing windows by a reshape.
 
@@ -564,14 +576,21 @@ def _pool_reshape(x: np.ndarray, out_h: int, out_w: int, mode: str):
 
         return windows.mean(axis=(3, 5)), backward
 
+    data = windows.max(axis=(3, 5))
+
     def backward(g):
-        flat = windows.transpose(0, 1, 2, 4, 3, 5).reshape(b, c, out_h, out_w, kh * kw)
-        gflat = np.zeros_like(flat)
-        np.put_along_axis(gflat, flat.argmax(axis=-1)[..., None], g[..., None], axis=-1)
+        # zeros laid out like the windows' [..., kh*kw] reshape (a view or a
+        # copy), which gives the result the memory layout that the gradient
+        # sums behind the pool read
+        gflat = np.zeros_like(windows.transpose(0, 1, 2, 4, 3, 5).reshape(
+            b, c, out_h, out_w, kh * kw))
+        # g at each window's first max; put indexes in C order, whatever the layout
+        first = _first_max(windows, data[:, :, :, None, :, None], (3, 5))
+        gflat.put(np.arange(0, gflat.size, kh * kw).reshape(first.shape) + first, g)
         return gflat.reshape(b, c, out_h, out_w, kh, kw).transpose(
             0, 1, 2, 4, 3, 5).reshape(b, c, h, w)
 
-    return windows.max(axis=(3, 5)), backward
+    return data, backward
 
 
 def _pool_loop(x: np.ndarray, out_h: int, out_w: int, mode: str):

@@ -82,6 +82,20 @@ def reduce_normalize_grads(g, xhat, inv, gb, axis):
     return dx, (g * xhat).sum(axis=reduce_axes), g.sum(axis=reduce_axes)
 
 
+def argmax_pool_backward(x, out_h, out_w, g):
+    """``tensor._pool_reshape``'s max backward by ``argmax`` on a transposed
+    copy of the windows and ``np.put_along_axis``, and the memory layout
+    that chain gives the result."""
+    b, c, h, w = x.shape
+    kh, kw = h // out_h, w // out_w
+    flat = x.reshape(b, c, out_h, kh, out_w, kw).transpose(0, 1, 2, 4, 3, 5).reshape(
+        b, c, out_h, out_w, kh * kw)
+    gflat = np.zeros_like(flat)
+    np.put_along_axis(gflat, flat.argmax(axis=-1)[..., None], g[..., None], axis=-1)
+    return gflat.reshape(b, c, out_h, out_w, kh, kw).transpose(
+        0, 1, 2, 4, 3, 5).reshape(b, c, h, w)
+
+
 def with_stand_in_query_key(blk):
     """``blk``, given constant query/key projections if it has none (a 1x1
     level's block), so attention runs its full path.  The softmax over one

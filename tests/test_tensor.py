@@ -28,7 +28,7 @@ from ahmsa.tensor import (
 )
 
 from gradcheck import numeric_gradient, relative_error
-from reference import linear, per_tensor_adam_step
+from reference import argmax_pool_backward, linear, per_tensor_adam_step
 
 
 def t64(data, requires_grad=False):
@@ -345,6 +345,54 @@ def test_adaptive_pool_reshape_path_matches_loop(mode, in_hw, out_hw):
     ref_data, ref_backward = _pool_loop(x, *out_hw, mode)
     np.testing.assert_allclose(data, ref_data, rtol=1e-15, atol=0)
     np.testing.assert_allclose(backward(g), ref_backward(g), rtol=1e-15, atol=0)
+
+
+def _tangled(rng, shape, dtype):
+    """Values on a coarse grid, so maxima tie, with signed zeros, infinities
+    and a NaN."""
+    x = np.round(rng.standard_normal(shape) * 2).astype(dtype)
+    x[..., 0] = -0.0
+    x.reshape(-1)[::7] = 0.0
+    x.reshape(-1)[3::11] = np.inf
+    x.reshape(-1)[5::13] = -np.inf
+    x.reshape(-1)[x.size // 2] = np.nan
+    return x
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_first_max_is_argmax(dtype):
+    from ahmsa.tensor import _first_max
+
+    rng = np.random.default_rng(3)
+    for shape, axes in [((4, 7, 3, 5), (1,)), ((4, 7, 3, 5), (3,)), ((4, 7, 3, 5), (1, 3)),
+                        ((4, 7, 3, 5), (0, 2)), ((2, 300, 3), (1,))]:
+        x = _tangled(rng, shape, dtype)
+        moved = np.moveaxis(x, axes, range(x.ndim - len(axes), x.ndim))
+        want = moved.reshape(moved.shape[:x.ndim - len(axes)] + (-1,)).argmax(axis=-1)
+        got = _first_max(x, x.max(axis=axes, keepdims=True), axes)
+        np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("batch", [1, 3])
+@pytest.mark.parametrize("in_hw,out_hw", [((4, 4), (2, 2)), ((2, 2), (1, 1)), ((4, 6), (2, 3)),
+                                          ((6, 3), (2, 1)), ((1, 6), (1, 3))])
+@pytest.mark.parametrize("channels_last", [True, False])
+def test_pool_max_backward_matches_argmax_scatter_bit_exact(dtype, batch, in_hw, out_hw,
+                                                            channels_last):
+    """Bytes and memory layout, which the layer-norm and conv gradients behind
+    a transition sum in, against argmax's scatter."""
+    from ahmsa.tensor import _pool_reshape
+
+    rng = np.random.default_rng(batch)
+    x = _tangled(rng, (batch, *in_hw, 6), dtype).transpose(0, 3, 1, 2)
+    if not channels_last:
+        x = np.ascontiguousarray(x)
+    g = rng.standard_normal((batch, 6, *out_hw)).astype(dtype)
+    got = _pool_reshape(x, *out_hw, "max")[1](g)
+    want = argmax_pool_backward(x, *out_hw, g)
+    assert got.tobytes() == want.tobytes()
+    assert got.strides == want.strides
 
 
 def test_sigmoid_at_zero():
