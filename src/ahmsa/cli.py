@@ -220,17 +220,17 @@ def load_feature_maps(manifest: DatasetManifest, flow_dir: str | Path | None,
 # -- report artifacts ---------------------------------------------------------------
 
 
-def confusion_to_csv(counts, class_names=CLASS_NAMES) -> str:
-    lines = ["true\\pred," + ",".join(class_names)]
-    for name, row in zip(class_names, counts):
+def confusion_to_csv(counts) -> str:
+    lines = ["true\\pred," + ",".join(CLASS_NAMES)]
+    for name, row in zip(CLASS_NAMES, counts):
         lines.append(name + "," + ",".join(str(int(v)) for v in row))
     return "\n".join(lines) + "\n"
 
 
-def confusion_to_svg(counts, class_names=CLASS_NAMES) -> str:
+def confusion_to_svg(counts) -> str:
     """Hand-emitted heatmap: count + row-normalized percentage per cell."""
     counts = np.asarray(counts)
-    n = len(class_names)
+    n = len(CLASS_NAMES)
     cell, margin_left, margin_top = 90, 110, 60
     width = margin_left + n * cell + 20
     height = margin_top + n * cell + 40
@@ -241,7 +241,7 @@ def confusion_to_svg(counts, class_names=CLASS_NAMES) -> str:
         'text-anchor="middle" font-size="15">Pooled confusion matrix</text>',
     ]
     row_sums = counts.sum(axis=1)
-    for i, true_name in enumerate(class_names):
+    for i, true_name in enumerate(CLASS_NAMES):
         y = margin_top + i * cell
         parts.append(
             f'<text x="{margin_left - 8}" y="{y + cell / 2 + 4:.0f}" '
@@ -265,7 +265,7 @@ def confusion_to_svg(counts, class_names=CLASS_NAMES) -> str:
                 f'<text x="{x + cell / 2}" y="{y + cell / 2 + 16}" '
                 f'text-anchor="middle" font-size="11">{100 * frac:.1f}%</text>'
             )
-    for j, pred_name in enumerate(class_names):
+    for j, pred_name in enumerate(CLASS_NAMES):
         x = margin_left + j * cell
         parts.append(
             f'<text x="{x + cell / 2}" y="{margin_top - 10}" '

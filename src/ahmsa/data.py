@@ -59,7 +59,6 @@ class Sample:
     onset_path: Path
     apex_path: Path
     landmarks: LandmarkSet
-    emotion_raw: str
     class_id: int
 
 
@@ -164,8 +163,7 @@ def load_manifest(path, check_paths: bool = True) -> DatasetManifest:
         samples.append(Sample(
             database_id=db, subject_id=subject, sample_id=sample_id,
             onset_path=onset_path, apex_path=apex_path,
-            landmarks=LandmarkSet(*zip(xy[0::2], xy[1::2])),
-            emotion_raw=emotion, class_id=class_id,
+            landmarks=LandmarkSet(*zip(xy[0::2], xy[1::2])), class_id=class_id,
         ))
     if problems:
         raise ValidationError(f"{path}: " + "; ".join(problems))
@@ -233,11 +231,6 @@ class ConfusionMatrix:
     def per_class_accuracy(self) -> list[float]:
         return [int(tp) / int(n) if n else 0.0
                 for tp, n in zip(np.diag(self.counts), self.counts.sum(axis=1))]
-
-    def merged(self, other: "ConfusionMatrix") -> "ConfusionMatrix":
-        if other.n_classes != self.n_classes:
-            raise ValidationError("cannot merge matrices of different sizes")
-        return ConfusionMatrix(self.n_classes, self.counts + other.counts)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, ConfusionMatrix)

@@ -73,7 +73,6 @@ class FlowOptions:
 
     region_px: int = field(default=28, metadata={"rule": "positive"})
     include_nose: bool = False
-    norm: str = field(default="standardize", metadata={"rule": ("standardize", "none")})
 
     def __post_init__(self):
         check_fields(self, "flow")
@@ -513,9 +512,7 @@ def extract_feature_map(onset: np.ndarray, apex: np.ndarray, landmarks: Landmark
     full = np.stack([motion.u, motion.v, optical_strain(motion)], axis=2)
     composite = compose_regions(full, landmarks, region_px=flow.region_px,
                                 out_size=out_size, include_nose=flow.include_nose)
-    if flow.norm == "standardize":
-        composite = standardize_channels(composite)
-    return composite
+    return standardize_channels(composite)
 
 
 # -- file formats -----------------------------------------------------------------

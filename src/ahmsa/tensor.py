@@ -108,9 +108,8 @@ class Tensor:
         # Per-call accumulation buffers; leaf .grad receives the finished totals.
         # A first contribution is kept as returned.  Unless its op marked it
         # fresh, it may alias g, another contribution or a closure's saved
-        # array, so it is never written: the second becomes a new sum that
-        # later contributions add into, and a leaf gets a copy.  ``owned``
-        # holds the buffers that may be written.
+        # array, so it is never written: each later one makes a new sum, and
+        # a leaf gets a copy.  ``owned`` holds the buffers a leaf may keep.
         pending: dict[int, np.ndarray] = {id(self): np.ones_like(self.data)}
         owned: set[int] = set()
         for node in reversed(order):
@@ -133,8 +132,6 @@ class Tensor:
                     pending[pkey] = contribution
                     if node._fresh:
                         owned.add(pkey)
-                elif pkey in owned:
-                    existing += contribution
                 else:
                     pending[pkey] = _accumulate(existing, contribution)
                     owned.add(pkey)
@@ -188,7 +185,7 @@ def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward,
 
     ``fresh`` promises that every array ``backward`` returns was allocated by
     that call and is referenced nowhere else, so the tape may keep it as a
-    leaf's gradient or add into it.
+    leaf's gradient.
     """
     if _grad_enabled and any(p.requires_grad for p in parents):
         out = Tensor(data, requires_grad=True, dtype=data.dtype)
@@ -201,7 +198,7 @@ def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward,
 
 def _accumulate(first: np.ndarray, second: np.ndarray) -> np.ndarray:
     """``first + second`` in a new buffer laid out like ``first``: how the
-    tape adds a second gradient contribution to a first it may not write."""
+    tape adds each later gradient contribution to the ones before it."""
     total = np.empty_like(first)
     np.add(first, second, out=total)
     return total
@@ -688,8 +685,7 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     data = np.asarray((lse - z[np.arange(n), labels]).mean(), dtype=logits.dtype)
 
     def backward(g):
-        e = np.exp(z - m)
-        p = e / e.sum(axis=1, keepdims=True)
+        p = _softmax(z, 1)
         p[np.arange(n), labels] -= 1.0
         return (g * p / n,)
 
@@ -702,11 +698,15 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
 # Elements per Adam group: whole consecutive parameters are updated together
 # so the 13 elementwise passes of a group run on cache-resident buffers.
 ADAM_GROUP_ELEMS = 1 << 16
+# Kingma & Ba's defaults (2015, Algorithm 1)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass
 class AdamState:
-    """Moment buffers plus hyperparameters for one parameter set.
+    """Moment buffers plus the learning rate for one parameter set.
 
     ``init_adam`` moves every parameter into the flat ``data`` arena, in
     parameter order, and binds each ``Tensor.data`` to its view there
@@ -716,9 +716,6 @@ class AdamState:
     """
 
     lr: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step_count: int = 0
     data: np.ndarray = field(default_factory=lambda: np.zeros(0))
     m: np.ndarray = field(default_factory=lambda: np.zeros(0))
@@ -729,10 +726,6 @@ class AdamState:
     def __post_init__(self):
         if self.lr < 0:
             raise ValidationError(f"learning rate must be >= 0, got {self.lr}")
-        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
-            raise ValidationError(
-                f"betas must lie in [0, 1), got {self.beta1}, {self.beta2}"
-            )
 
 
 def _adam_groups(views: dict[str, np.ndarray]):
@@ -753,10 +746,9 @@ def _adam_groups(views: dict[str, np.ndarray]):
     return groups
 
 
-def init_adam(params: dict[str, Tensor], lr: float, beta1: float = 0.9,
-              beta2: float = 0.999, eps: float = 1e-8) -> AdamState:
+def init_adam(params: dict[str, Tensor], lr: float) -> AdamState:
     """Zero moments for ``params``, whose ``data`` is rebound to arena views."""
-    state = AdamState(lr=lr, beta1=beta1, beta2=beta2, eps=eps)
+    state = AdamState(lr=lr)
     dtypes = {p.data.dtype for p in params.values()}
     if len(dtypes) > 1:
         raise UsageError(
@@ -801,9 +793,9 @@ def adam_step(params: dict[str, Tensor], state: AdamState) -> None:
     state.step_count += 1
     # the bias corrections folded into the step size and epsilon (Kingma &
     # Ba 2015, section 2): two passes fewer than dividing both moments
-    root_bc2 = math.sqrt(1.0 - state.beta2 ** state.step_count)
-    step_size = state.lr * root_bc2 / (1.0 - state.beta1 ** state.step_count)
-    eps = state.eps * root_bc2
+    root_bc2 = math.sqrt(1.0 - ADAM_BETA2 ** state.step_count)
+    step_size = state.lr * root_bc2 / (1.0 - ADAM_BETA1 ** state.step_count)
+    eps = ADAM_EPS * root_bc2
     widest = max((stop - start for start, stop, _ in state.groups), default=0)
     gathered = np.empty(widest, dtype=state.data.dtype)
     s1 = np.empty_like(gathered)
@@ -818,11 +810,11 @@ def adam_step(params: dict[str, Tensor], state: AdamState) -> None:
         m = state.m[start:stop]
         v = state.v[start:stop]
         a, b = s1[:n], s2[:n]
-        m *= state.beta1
-        np.multiply(g, 1.0 - state.beta1, out=a)
+        m *= ADAM_BETA1
+        np.multiply(g, 1.0 - ADAM_BETA1, out=a)
         m += a
-        v *= state.beta2
-        np.multiply(g, 1.0 - state.beta2, out=a)
+        v *= ADAM_BETA2
+        np.multiply(g, 1.0 - ADAM_BETA2, out=a)
         a *= g
         v += a
         np.sqrt(v, out=b)

@@ -2,8 +2,8 @@
 
 Every fold trains a freshly initialized model (seed = base seed XOR fold
 index) on all other subjects' samples and is scored on the held-out subject.
-Fold confusion matrices are pooled before computing UF1/UAR, both overall
-and per source database.
+The folds' predictions are pooled into confusion matrices before computing
+UF1/UAR, both overall and per source database.
 
 Folds are independent, so ``run_loso`` can train several at once in worker
 processes through ``workers.forked_map``.  The workers are forked once the
@@ -46,7 +46,6 @@ class TrainConfig:
     learning_rate: float = field(default=5e-6, metadata={"rule": ">= 0"})
     batch_size: int = field(default=256, metadata={"rule": ">= 1"})
     seed: int = field(default=0, metadata={"rule": ">= 0"})
-    shuffle: bool = True
     # epochs between loss log lines; 0 disables
     log_every: int = field(default=0, metadata={"rule": ">= 0"})
 
@@ -62,7 +61,6 @@ def desk_scale_config(seed: int = 0) -> TrainConfig:
 @dataclass
 class FoldResult:
     subject: str
-    matrix: ConfusionMatrix
     history: list[float]
     predictions: list[tuple[int, int, int]]  # (sample index, true, predicted)
     error: str | None = None
@@ -129,7 +127,7 @@ def train_fold(maps: np.ndarray, labels: np.ndarray, model_config: ModelConfig,
     history: list[float] = []
 
     for epoch in range(train_config.epochs):
-        order = rng.permutation(n) if train_config.shuffle else np.arange(n)
+        order = rng.permutation(n)
         epoch_loss = 0.0
         for batch_index, start in enumerate(range(0, n, train_config.batch_size)):
             idx = order[start:start + train_config.batch_size]
@@ -192,13 +190,12 @@ def _run_one_fold(fold_index: int, subject: str, train_idx: list[int],
                                      model_config, fold_config)
     except TrainingDivergedError as exc:
         logger.error("fold %s aborted: %s", subject, str(exc))
-        return FoldResult(subject=subject, matrix=ConfusionMatrix(),
-                          history=[], predictions=[], error=str(exc))
-    matrix, predictions = evaluate(params, maps[test_idx], labels[test_idx])
+        return FoldResult(subject=subject, history=[], predictions=[],
+                          error=str(exc))
+    _, predictions = evaluate(params, maps[test_idx], labels[test_idx])
     records = [(i, int(labels[i]), int(p))
                for i, p in zip(test_idx, predictions)]
-    return FoldResult(subject=subject, matrix=matrix, history=history,
-                      predictions=records)
+    return FoldResult(subject=subject, history=history, predictions=records)
 
 
 def run_loso(manifest: DatasetManifest, maps: np.ndarray,
@@ -236,10 +233,10 @@ def run_loso(manifest: DatasetManifest, maps: np.ndarray,
         if result.error is not None:
             failed[result.subject] = result.error
             continue
-        pooled = pooled.merged(result.matrix)
         history[result.subject] = result.history
         for sample_index, true, pred in result.predictions:
             db = manifest.samples[sample_index].database_id
+            pooled.add(true, pred)
             per_database.setdefault(db, ConfusionMatrix()).add(true, pred)
     return MetricsReport(pooled=pooled, per_database=per_database,
                          history=history, failed_folds=failed)

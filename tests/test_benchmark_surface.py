@@ -6,12 +6,16 @@ keeps such a change from passing the tests.
 """
 
 import importlib
+import json
+import os
 
+import numpy as np
 import pytest
 
-from ahmsa.data import ConfusionMatrix, DatasetManifest
+import ahmsa.cli as cli
+from ahmsa.data import ConfusionMatrix, DatasetManifest, load_manifest
 from ahmsa.model import ModelConfig
-from ahmsa.optflow import TVL1Params
+from ahmsa.optflow import TVL1Params, write_flow_map
 
 READ_BY_BENCHMARK = {
     "cli": ["main", "load_manifest", "flow_file_name", "read_pgm", "run_loso"],
@@ -42,3 +46,52 @@ def test_benchmark_reads_these_members_of_program_objects():
     params = TVL1Params()
     for name in ("pyramid_scale", "pyramid_levels", "n_warps", "n_inner_iters"):
         assert hasattr(params, name), name
+
+
+# perfbench/probe.py times a workload's set-up as its ``ahmsa`` command line
+# up to the first call of this ``cli`` attribute, and fails if it is never made.
+PROBE_STOPS = {"extract": "read_pgm", "loso": "run_loso"}
+
+
+class _ProbeStop(BaseException):
+    """Raised where the probe stops; a BaseException, as the probe's is, so
+    that the command's own error handling lets it through."""
+
+
+@pytest.fixture(scope="module")
+def probe_inputs(tmp_path_factory):
+    """Small inputs of the probe's two command lines: a synthetic manifest,
+    one default-size ``.flow`` map per sample and the loso config file."""
+    root = tmp_path_factory.mktemp("probe")
+    assert cli.main(["gen-synthetic", "--out-dir", str(root), "--subjects", "2",
+                     "--samples-per-subject", "3", "--image-size", "32"]) == 0
+    side = ModelConfig().h_flow
+    (root / "flow").mkdir()
+    for sample in load_manifest(root / "manifest.csv").samples:
+        write_flow_map(root / "flow" / cli.flow_file_name(sample),
+                       np.zeros((side, side, 3), dtype=np.float32))
+    (root / "config.json").write_text(json.dumps({"train.log_every": 1}))
+    return root
+
+
+@pytest.mark.parametrize("workload", sorted(PROBE_STOPS))
+def test_benchmark_probe_stops_where_it_expects(probe_inputs, tmp_path, monkeypatch,
+                                                workload):
+    """The command reaches the probe's stop point in this process, before it
+    forks any worker (the same command lines as ``perfbench/common.py``)."""
+    def stop(*args, **kwargs):
+        raise _ProbeStop
+
+    def no_fork():
+        raise AssertionError("forked before the probe's stop point")
+
+    monkeypatch.setattr(cli, PROBE_STOPS[workload], stop)
+    monkeypatch.setattr(os, "fork", no_fork)
+    manifest, out = str(probe_inputs / "manifest.csv"), str(tmp_path / "out")
+    argv = (["extract-flow", "--manifest", manifest, "--out-dir", out]
+            if workload == "extract" else
+            ["loso", "--manifest", manifest, "--flow-dir", str(probe_inputs / "flow"),
+             "--out-dir", out, "--config", str(probe_inputs / "config.json"),
+             "--epochs", "8", "--batch-size", "32", "--lr", "1e-4"])
+    with pytest.raises(_ProbeStop):
+        cli.main(argv)

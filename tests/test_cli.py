@@ -1020,8 +1020,6 @@ def test_build_run_config_lists_all_section_errors():
     ("flow.region_px", 16.0, "flow.region_px must be an integer"),
     ("flow.region_px", True, "flow.region_px must be an integer"),
     ("flow.include_nose", 1, "flow.include_nose must be true or false"),
-    ("flow.norm", ["none"], "flow.norm must be a string"),
-    ("flow.norm", "zscore", "flow.norm must be 'standardize' or 'none'"),
 ])
 def test_build_run_config_rejects_mistyped_flow_options(key, value, problem):
     with pytest.raises(ConfigError, match=problem):
@@ -1032,7 +1030,7 @@ def test_build_run_config_rejects_mistyped_flow_options(key, value, problem):
     ("model", ModelConfig, "heads", 0),
     ("train", TrainConfig, "batch_size", "3"),
     ("tvl1", TVL1Params, "pyramid_scale", 1.0),
-    ("flow", FlowOptions, "norm", "zscore"),
+    ("flow", FlowOptions, "region_px", 0),
 ], ids=["model", "train", "tvl1", "flow"])
 def test_every_config_section_checks_itself_when_built(section, cls, key, bad):
     # the sections are frozen and replace() runs the check again, so no
@@ -1129,7 +1127,6 @@ _BOUNDARIES = [
     ("train.learning_rate", -_TINY, 0.0),
     ("train.batch_size", 0, 1),
     ("train.seed", -1, 0),
-    ("train.shuffle", 1, False),
     ("train.log_every", -1, 0),
     ("tvl1.lambda_weight", 0.0, _TINY),
     ("tvl1.theta", 0.0, _TINY),
@@ -1141,7 +1138,6 @@ _BOUNDARIES = [
     ("tvl1.pyramid_scale", 1.0, 1.0 - 2 ** -53),
     ("flow.region_px", 0, 1),
     ("flow.include_nose", 1, False),
-    ("flow.norm", "zscore", "none"),
 ]
 
 

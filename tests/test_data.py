@@ -296,14 +296,6 @@ def test_confusion_out_of_range():
         cm.add(0, -1)
 
 
-def test_confusion_merge():
-    a = ConfusionMatrix(counts=[[1, 0, 0], [0, 2, 0], [0, 0, 3]])
-    b = ConfusionMatrix(counts=[[0, 1, 0], [0, 0, 0], [1, 0, 0]])
-    merged = a.merged(b)
-    assert merged.total() == 8
-    assert merged.counts[0, 1] == 1
-
-
 # -- uf1 / uar --------------------------------------------------------------------------
 
 

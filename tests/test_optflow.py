@@ -12,7 +12,6 @@ from ahmsa.errors import AhmsaError, ValidationError
 from ahmsa.optflow import (
     FlowField,
     LandmarkSet,
-    FlowOptions,
     TVL1Params,
     compose_regions,
     extract_feature_map,
@@ -824,13 +823,15 @@ def test_extract_feature_map_end_to_end():
     assert np.all(np.isfinite(out))
 
 
-def test_extract_feature_map_norm_none_keeps_values():
+def test_extract_feature_map_standardizes_the_raw_composite():
     tex = smooth_texture(11)
     apex = fourier_shift(tex, 0.0, 1.5)
     lm = LandmarkSet(left_eye=(19, 22), right_eye=(45, 22), nose=(32, 32),
                      left_lip=(22, 44), right_lip=(42, 44))
-    raw = extract_feature_map(tex, apex, lm, flow=FlowOptions(norm="none"))
-    # a 1.5 px shift along x: raw u stays near 1.5 instead of mean 0
+    motion = tvl1_flow(tex, apex)
+    full = np.stack([motion.u, motion.v, optical_strain(motion)], axis=2)
+    raw = compose_regions(full, lm, region_px=28, out_size=28)
+    # a 1.5 px shift along x: raw u is near 1.5 before standardization
     assert abs(np.median(raw[:, :, 0]) - 1.5) < 0.3
     np.testing.assert_array_equal(standardize_channels(raw),
                                   extract_feature_map(tex, apex, lm))
@@ -951,6 +952,10 @@ def test_flow_map_rejects_corrupt(tmp_path):
         read_flow_map(path)
     path.write_bytes(b"XXXX" + b"\x00" * 12)
     with pytest.raises(ValidationError):
+        read_flow_map(path)
+    write_flow_map(path, np.zeros((4, 4, 3), dtype=np.float32))
+    path.write_bytes(path.read_bytes() + b"\x00")  # a valid map plus one byte
+    with pytest.raises(ValidationError, match="payload is 193 bytes, expected 192"):
         read_flow_map(path)
 
 

@@ -568,6 +568,28 @@ def test_cross_entropy_large_logits_finite():
     assert np.isfinite(float(loss.data))
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_cross_entropy_gradient_bytes_are_the_row_softmax(dtype):
+    """The backward's probabilities come from ``_softmax``; its bytes are
+    those of ``exp(z - z.max) / sum`` minus the one-hot, over ``n``, with
+    tied maxima, signed zeros and saturated rows among the logits."""
+    rng = np.random.default_rng(17)
+    z = rng.standard_normal((9, 3)).astype(dtype)
+    z[0] = 0.0
+    z[1] = [-0.0, 0.0, -0.0]
+    z[2] = [-1.0, -0.0, 0.0]
+    z[3] = np.round(z[3])
+    z[4] = [2.5, 2.5, -1.0]
+    z[5] = [1e4, -1e4, 0.0]
+    labels = np.array([0, 1, 2, 0, 1, 2, 0, 1, 2])
+    logits = Tensor(z, requires_grad=True)
+    cross_entropy(logits, labels).backward()
+    e = np.exp(z - z.max(axis=1, keepdims=True))
+    p = e / e.sum(axis=1, keepdims=True)
+    p[np.arange(9), labels] -= 1.0
+    assert logits.grad.tobytes() == (np.ones((), dtype) * p / 9).tobytes()
+
+
 def test_cross_entropy_label_out_of_range():
     with pytest.raises(ValidationError, match="out of range"):
         cross_entropy(Tensor(np.zeros((2, 3))), np.array([0, 3]))
@@ -810,7 +832,7 @@ def test_adam_missing_gradient_raises():
 
 def test_adam_rejects_bad_hyperparameters():
     with pytest.raises(ValidationError):
-        AdamState(lr=0.1, beta1=1.0)
+        AdamState(lr=-0.1)
 
 
 def _adam_problem(dtype):

@@ -115,3 +115,5 @@ def test_worker_count_is_capped_by_the_environment(monkeypatch):
     assert worker_count() == 7
     monkeypatch.setenv(THREAD_ENV_VAR, "2")
     assert worker_count() == 2
+    monkeypatch.setenv(THREAD_ENV_VAR, "64")  # a cap above the usable CPUs
+    assert worker_count() == 7
