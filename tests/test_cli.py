@@ -1076,6 +1076,25 @@ def test_removed_model_keys_are_unknown_before_any_frame_is_read(dataset, tmp_pa
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("key,value", [("train.shuffle", False), ("flow.norm", "none")])
+@pytest.mark.parametrize("command", ["extract-flow", "loso"])
+def test_removed_train_and_flow_keys_are_unknown_before_any_frame_is_read(
+        dataset, tmp_path, monkeypatch, capsys, command, key, value):
+    # training always shuffles and the feature map is always standardized, so
+    # a config that still sets either key, even to a value it once accepted,
+    # is refused rather than silently ignored
+    def unread(path):
+        raise AssertionError(f"read {path}")
+
+    monkeypatch.setattr(ahmsa.cli, "read_pgm", unread)
+    cfg = write_config(tmp_path, {key: value})
+    extra = ["--extract"] if command == "loso" else []
+    assert run_cli(command, "--manifest", str(dataset / "manifest.csv"), "--out-dir",
+                   str(tmp_path / "out"), "--config", str(cfg), *extra) == 2
+    assert capsys.readouterr().err == f"config error: unknown config keys: {key}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_layers_flag_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli("loso", "--manifest", "m.csv", "--extract", "--layers", "3")
